@@ -46,6 +46,9 @@ bool ConstantPredicateText(const std::string& predicate) {
   return predicate.empty() ||
          predicate.find(kIdListTable) != std::string::npos;
 }
+
+/// The §6.2.2 staging table for element table `t`.
+std::string StagingTable(const TableMapping* t) { return "tmp_" + t->table; }
 }  // namespace
 
 const char* ToString(DeleteStrategy s) {
@@ -506,8 +509,7 @@ Status RelationalStore::CopySubtreesWhere(const std::string& element,
     case InsertStrategy::kTuple:
       return RunInTxn([&] { return TupleInsert(tm, predicate, dest_parent_id); });
     case InsertStrategy::kTable:
-      // Manages its own scope: the temp-table DDL must stay outside it.
-      return TableInsert(tm, predicate, dest_parent_id);
+      return RunInTxn([&] { return TableInsert(tm, predicate, dest_parent_id); });
     case InsertStrategy::kAsr:
       return RunInTxn([&] { return AsrInsert(tm, predicate, dest_parent_id); });
   }
@@ -601,36 +603,15 @@ Status RelationalStore::TableInsert(const TableMapping* tm,
                                     const std::string& predicate,
                                     int64_t dest_parent_id) {
   // 6.2.2: stage the source subtrees in temp tables, remap all ids with one
-  // offset (nextId - minId), and insert en masse per relation. The staging
-  // tables are created/dropped through the direct catalog API: DDL is barred
-  // inside transactions, and scratch tables are not transactional state —
-  // DropTableDirect purges their undo records, so only the real-table writes
-  // remain in the enclosing scope's log.
+  // offset (nextId - minId), and insert en masse per relation. The tmp_
+  // staging tables are engine scratch like xupd_idlist (see ScratchTable):
+  // created on first use, never undo-logged, and cleared here on success
+  // and failure alike, so only the real-table writes land in the enclosing
+  // scope's log and a steady-state copy runs no DDL.
   std::vector<const TableMapping*> region = mapping_->SubtreeTables(tm);
-  auto tmp_name = [](const TableMapping* t) { return "tmp_" + t->table; };
-
-  Status s = Status::OK();
-  size_t created = 0;
+  Status s = TableInsertDml(region, tm, predicate, dest_parent_id);
   for (const TableMapping* t : region) {
-    std::vector<rdb::ColumnDef> cols{{"id", rdb::ColumnType::kInteger},
-                                     {"parentId", rdb::ColumnType::kInteger}};
-    for (const auto& f : t->fields) {
-      cols.push_back({f.column, rdb::ColumnType::kVarchar});
-    }
-    auto table = db_.CreateTableDirect(rdb::TableSchema(tmp_name(t), cols));
-    if (!table.ok()) {
-      s = table.status();
-      break;
-    }
-    ++created;
-  }
-  if (s.ok()) {
-    s = RunInTxn(
-        [&] { return TableInsertDml(region, tm, predicate, dest_parent_id); });
-  }
-  for (size_t i = 0; i < created; ++i) {
-    Status drop = db_.DropTableDirect(tmp_name(region[i]));
-    if (s.ok() && !drop.ok()) s = drop;
+    if (rdb::Table* staging = db_.FindTable(StagingTable(t))) staging->Clear();
   }
   return s;
 }
@@ -638,27 +619,35 @@ Status RelationalStore::TableInsert(const TableMapping* tm,
 Status RelationalStore::TableInsertDml(
     const std::vector<const TableMapping*>& region, const TableMapping* tm,
     const std::string& predicate, int64_t dest_parent_id) {
-  auto tmp_name = [](const TableMapping* t) { return "tmp_" + t->table; };
+  for (const TableMapping* t : region) {
+    std::vector<rdb::ColumnDef> cols{{"id", rdb::ColumnType::kInteger},
+                                     {"parentId", rdb::ColumnType::kInteger}};
+    for (const auto& f : t->fields) {
+      cols.push_back({f.column, rdb::ColumnType::kVarchar});
+    }
+    XUPD_RETURN_IF_ERROR(ScratchTable(StagingTable(t), cols).status());
+  }
 
   for (size_t i = 0; i < region.size(); ++i) {
     const TableMapping* t = region[i];
     if (i == 0) {
       std::string sql =
-          "INSERT INTO " + tmp_name(t) + " SELECT * FROM " + t->table;
+          "INSERT INTO " + StagingTable(t) + " SELECT * FROM " + t->table;
       if (!predicate.empty()) sql += " WHERE " + predicate;
       XUPD_RETURN_IF_ERROR(db_.Execute(sql));
     } else {
       const TableMapping* parent = mapping_->ForElement(t->parent_element);
       XUPD_RETURN_IF_ERROR(db_.Execute(
-          "INSERT INTO " + tmp_name(t) + " SELECT * FROM " + t->table +
-          " WHERE parentId IN (SELECT id FROM " + tmp_name(parent) + ")"));
+          "INSERT INTO " + StagingTable(t) + " SELECT * FROM " + t->table +
+          " WHERE parentId IN (SELECT id FROM " + StagingTable(parent) + ")"));
     }
   }
 
   // min/max over all staged ids (one statement per staging table).
   int64_t min_id = 0, max_id = -1;
   for (const TableMapping* t : region) {
-    auto mm = db_.ExecuteQuery("SELECT MIN(id), MAX(id) FROM " + tmp_name(t));
+    auto mm =
+        db_.ExecuteQuery("SELECT MIN(id), MAX(id) FROM " + StagingTable(t));
     if (!mm.ok()) return mm.status();
     const rdb::Row& row = mm->rows[0];
     if (row[0].is_null()) continue;
@@ -681,13 +670,13 @@ Status RelationalStore::TableInsertDml(
                        std::to_string(offset);
     for (const auto& f : t->fields) cols += ", " + f.column;
     XUPD_RETURN_IF_ERROR(db_.Execute("INSERT INTO " + t->table + " SELECT " +
-                                     cols + " FROM " + tmp_name(t)));
+                                     cols + " FROM " + StagingTable(t)));
   }
   // The copied region roots point at their new parent.
   return db_.Execute("UPDATE " + tm->table +
                      " SET parentId = " + std::to_string(dest_parent_id) +
                      " WHERE id IN (SELECT id + " + std::to_string(offset) +
-                     " FROM " + tmp_name(tm) + ")");
+                     " FROM " + StagingTable(tm) + ")");
 }
 
 Status RelationalStore::AsrInsert(const TableMapping* tm,
@@ -849,21 +838,20 @@ Status RelationalStore::InsertConstructedImpl(const xml::Element& content,
 }
 
 // ---------------------------------------------------------------------------
-// Id-list staging (shared scratch table for the translator's IN predicates)
+// Scratch tables (§6.2.2 staging, the translator's id-list IN predicates)
+
+Result<rdb::Table*> RelationalStore::ScratchTable(
+    const std::string& name, const std::vector<rdb::ColumnDef>& columns) {
+  if (rdb::Table* table = db_.FindTable(name)) return table;
+  return db_.CreateTableDirect(rdb::TableSchema(name, columns),
+                               /*durable=*/false);
+}
 
 Result<std::string> RelationalStore::IdListPredicate(
     const std::string& column, const std::vector<int64_t>& ids) {
-  rdb::Table* scratch = db_.FindTable(kIdListTable);
-  if (scratch == nullptr) {
-    // Unwired from the undo log: id staging is engine scratch, not
-    // transactional state — rolling a statement back must not waste time
-    // reviving rows the next staging would clobber anyway.
-    auto table = db_.CreateTableDirect(
-        rdb::TableSchema(kIdListTable, {{"id", rdb::ColumnType::kInteger}}),
-        /*transactional=*/false);
-    if (!table.ok()) return table.status();
-    scratch = table.value();
-  }
+  XUPD_ASSIGN_OR_RETURN(
+      rdb::Table * scratch,
+      ScratchTable(kIdListTable, {{"id", rdb::ColumnType::kInteger}}));
   // Truncate rather than DELETE FROM: a SQL delete only tombstones, which
   // would grow the slot array (and every later scan over it) without bound
   // across statements.

@@ -170,8 +170,8 @@ class RelationalStore {
   /// Database::VerifyIntegrity, which checks the relational layer below.
   std::vector<std::string> VerifyStore();
 
-  /// Stages `ids` in the shared scratch table `xupd_idlist` (created lazily
-  /// through the direct catalog API) and returns the predicate
+  /// Stages `ids` in the shared scratch table `xupd_idlist` (see
+  /// ScratchTable) and returns the predicate
   /// "<column> IN (SELECT id FROM xupd_idlist)". Unlike a literal
   /// "<column> IN (1, 2, ...)" list, the statement texts this produces are
   /// constant across calls, so the predicates the XQuery translator emits
@@ -198,6 +198,14 @@ class RelationalStore {
   /// error. With Options::transactional off it just runs fn.
   Status RunInTxn(const std::function<Status()>& fn);
 
+  /// The engine scratch table `name` (id-list and §6.2.2 staging), created
+  /// with `columns` on first use: not durable and not undo-logged, since
+  /// its contents are never document state — a rollback must not waste
+  /// time reviving rows the next use clears anyway. Looked up by name on
+  /// every call, so TryHeal's catalog rebuild just means a re-create.
+  Result<rdb::Table*> ScratchTable(const std::string& name,
+                                   const std::vector<rdb::ColumnDef>& columns);
+
   Status InstallTriggers();
   /// Writes the strategy Options into the durable xupd_meta table (store
   /// creation) / verifies the caller's Options against it (reopen) — a
@@ -212,9 +220,8 @@ class RelationalStore {
   Status AsrDelete(const shred::TableMapping* tm, const std::string& predicate);
   Status TupleInsert(const shred::TableMapping* tm,
                      const std::string& predicate, int64_t dest_parent_id);
-  /// Phase wrapper: creates the temp staging tables through the direct
-  /// catalog API (DDL is barred inside transactions), runs the DML phase in
-  /// a transaction scope, and always drops the staging tables.
+  /// Runs the §6.2.2 DML phase, then clears the tmp_ staging tables
+  /// whether it succeeded or not.
   Status TableInsert(const shred::TableMapping* tm,
                      const std::string& predicate, int64_t dest_parent_id);
   Status TableInsertDml(const std::vector<const shred::TableMapping*>& region,

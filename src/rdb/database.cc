@@ -163,23 +163,6 @@ void Database::BumpCatalogVersion() {
   trigger_plans_.clear();
 }
 
-std::shared_ptr<const uint64_t> Database::table_version(
-    std::string_view name) {
-  std::lock_guard<std::mutex> lock(table_versions_mu_);
-  auto it = table_versions_.find(name);
-  if (it == table_versions_.end()) {
-    it = table_versions_.emplace(std::string(name),
-                                 std::make_shared<uint64_t>(0)).first;
-  }
-  return it->second;
-}
-
-void Database::BumpTableVersion(std::string_view name) {
-  std::lock_guard<std::mutex> lock(table_versions_mu_);
-  auto it = table_versions_.find(name);
-  if (it != table_versions_.end()) ++*it->second;
-}
-
 // ---------------------------------------------------------------------------
 // Durability
 
@@ -249,7 +232,6 @@ Status Database::Open(const std::string& dir,
     tables_.clear();
     triggers_.clear();
     trigger_plans_.clear();
-    table_versions_.clear();
     next_id_ = 1;
     data_dir_.clear();
     recovered_ = false;
@@ -607,12 +589,12 @@ Status Database::ReopenFromDisk() {
   }
 
   // The disk state recovers cleanly — rebuild this Database from it.
-  // Dropping the catalog invalidates every cached plan via per-table
-  // versions plus the global catalog version. The exclusive catalog lock
-  // covers only the teardown (holding it across RecoverFromDir would
-  // deadlock with CreateTableDirect's own exclusive acquisition): reader
-  // statements racing the rebuild may see a partial catalog — a documented
-  // heal-window anomaly.
+  // Dropping the catalog invalidates every cached plan via the global
+  // catalog version. The exclusive catalog lock covers only the teardown
+  // (holding it across RecoverFromDir would deadlock with
+  // CreateTableDirect's own exclusive acquisition): reader statements
+  // racing the rebuild may see a partial catalog — a documented heal-window
+  // anomaly.
   {
     std::lock_guard<std::mutex> flusher_lock(flusher_mu_);
     wal_ = nullptr;
@@ -620,10 +602,6 @@ Status Database::ReopenFromDisk() {
   txn_.AttachWal(nullptr);
   {
     auto lock = LockCatalogExclusive();
-    {
-      std::lock_guard<std::mutex> vlock(table_versions_mu_);
-      for (auto& [name, version] : table_versions_) ++*version;
-    }
     tables_.clear();
     triggers_.clear();
     trigger_plans_.clear();
@@ -995,15 +973,14 @@ Result<ResultSet> Database::ExecuteQueryBound(std::string_view sql,
   return ExecuteQueryPrepared(handle.value(), params);
 }
 
-Result<Table*> Database::CreateTableDirect(TableSchema schema,
-                                           bool transactional, bool durable) {
+Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
   if (read_only_ && durable) return ReadOnlyError("CREATE TABLE");
   if (tables_.count(schema.name()) > 0) {
     return Status::AlreadyExists("table '" + schema.name() + "' already exists");
   }
   std::string key = schema.name();
   auto table = std::make_unique<Table>(std::move(schema),
-                                       transactional ? &txn_ : nullptr);
+                                       durable ? &txn_ : nullptr);
   table->set_durable(durable);
   table->set_interner(&interner_);
   table->set_epoch_manager(&epochs_);
@@ -1014,57 +991,6 @@ Result<Table*> Database::CreateTableDirect(TableSchema schema,
     tables_.emplace(std::move(key), std::move(table));
   }
   return raw;
-}
-
-Status Database::DropTableDirect(std::string_view name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("table '" + std::string(name) + "' not found");
-  }
-  if (read_only_ && it->second->durable()) return ReadOnlyError("DROP TABLE");
-  if (it->second->durable() && wal_ != nullptr && txn_.active()) {
-    return Status::InvalidArgument(
-        "cannot drop durable table '" + std::string(name) +
-        "' inside a transaction while the WAL is open (the drop could not "
-        "roll back with the enclosing scope)");
-  }
-  // An off-thread checkpoint may hold this raw Table*.
-  (void)CheckpointWait();
-  txn_.PurgeTable(it->second.get());
-  std::string dropped = it->second->schema().name();
-  bool was_durable = it->second->durable();
-  if (was_durable) {
-    // Redo for the drop: pending records over this table (already
-    // serialized) replay first, then the DROP removes it, like in memory.
-    WalLogDdl("DROP TABLE " + dropped);
-  }
-  {
-    auto lock = LockCatalogExclusive();
-    // Cached plans may hold this Table*; their per-table dependency makes
-    // them re-plan before any reuse. Plans over other tables stay valid —
-    // no global version bump (that is the point of per-table dependencies:
-    // the §6.2.2 staging churn leaves unrelated cached plans hot). Bumped
-    // inside the exclusive section so no reader validates a stale plan
-    // against the mutated catalog.
-    BumpTableVersion(name);
-    tables_.erase(it);
-    for (auto t = triggers_.begin(); t != triggers_.end();) {
-      if (EqualsIgnoreCase(t->table, dropped)) {
-        // The trigger-plan map is keyed by these statements' identities;
-        // erase them before the shared_ptrs can die.
-        for (const auto& stmt : t->body) trigger_plans_.erase(stmt.get());
-        t = triggers_.erase(t);
-      } else {
-        ++t;
-      }
-    }
-  }
-  // A durable drop is a catalog change like SQL DDL: flush it (and any
-  // pending direct writes that preceded it) as one committed unit now — it
-  // happens outside a transaction (rejected above otherwise), so there is
-  // no later commit to ride on.
-  if (was_durable) return WalFlush();
-  return Status::OK();
 }
 
 Status Database::InsertDirect(Table* table, Row row) {
@@ -1391,17 +1317,8 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
   auto catalog_lock = db_->LockCatalogShared();
   std::shared_ptr<const PlannedStatement> plan;
   if (cached.plan != nullptr && cached.version == db_->catalog_version()) {
-    bool deps_current = true;
-    for (const PlanTableDep& dep : cached.plan->table_deps) {
-      if (*dep.version != dep.snapshot) {
-        deps_current = false;
-        break;
-      }
-    }
-    if (deps_current) {
-      ++stats_.plan_cache_hits;
-      plan = cached.plan;
-    }
+    ++stats_.plan_cache_hits;
+    plan = cached.plan;
   }
   if (plan == nullptr) {
     Planner planner(db_, nullptr);

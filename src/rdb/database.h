@@ -380,15 +380,11 @@ class Database {
   // DDL-in-transaction policy: SQL DDL (CREATE/DROP of tables, indexes and
   // triggers) inside an active transaction is REJECTED with InvalidArgument
   // — catalog changes are not undoable, and silently auto-committing would
-  // break the atomicity the engine layers rely on. The direct catalog APIs
-  // below are exempt: they exist for engine-internal scratch tables (temp
-  // staging for the §6.2.2 table insert, id-list probes), which are not
-  // transactional state; DropTableDirect purges the dropped table's undo
-  // records so the log never dangles. Direct catalog changes do not flush
-  // the prepared-statement (parse) cache and do not bump the global catalog
-  // version: DropTableDirect bumps the dropped table's per-table plan
-  // version instead, so cached plans holding the dropped Table re-plan
-  // while plans over other tables stay hot.
+  // break the atomicity the engine layers rely on. CreateTableDirect is
+  // exempt: the engine creates its scratch tables (id-list staging, §6.2.2
+  // table-insert staging) through it lazily, inside update transactions,
+  // and a rollback leaves the new table in place. Scratch tables are
+  // cleared after use, never dropped.
 
   /// Opens a transaction scope (a savepoint when one is already active).
   Status Begin();
@@ -424,22 +420,13 @@ class Database {
 
   /// Global catalog snapshot version guarding cached plans, bumped by every
   /// SQL DDL statement (including CREATE INDEX / DROP INDEX — plans capture
-  /// index choices). A cached plan built under an older version is rebuilt
-  /// before use. Direct catalog changes (DropTableDirect) no longer bump
-  /// it: plans additionally carry per-table dependencies (see
-  /// table_version), so §6.2.2 staging churn only invalidates plans that
-  /// reference the dropped table.
+  /// index choices) and by TryHeal's catalog rebuild. A cached plan built
+  /// under an older version is rebuilt before use. CreateTableDirect does
+  /// not bump it: adding a table cannot stale a plan, and tables leave the
+  /// catalog only through SQL DROP TABLE or TryHeal.
   uint64_t catalog_version() const {
     return catalog_version_.load(std::memory_order_acquire);
   }
-
-  /// Per-table plan-dependency counter, keyed by (case-insensitive) table
-  /// name and persistent across drop/recreate of that name. The planner
-  /// snapshots the counters of every table a plan touches; DropTableDirect
-  /// bumps only the dropped table's counter, so cached plans over other
-  /// tables stay hot. The handle stays valid after the table is gone —
-  /// validation never dereferences a Table.
-  std::shared_ptr<const uint64_t> table_version(std::string_view name);
 
   /// Planner knob (tests): when false, every plan uses full scans — the
   /// parity harness compares probed vs scanned execution. Toggling
@@ -454,23 +441,12 @@ class Database {
 
   /// Direct bulk-load API (bypasses SQL): used by the shredder to load
   /// documents quickly; benchmark updates always go through Execute().
-  /// `transactional = false` leaves the table unwired from the undo log —
-  /// for engine scratch tables whose contents are not transactional state
-  /// (writes to them are never undone and never logged). `durable = true`
-  /// includes the table in WAL logging and snapshots (set by SQL CREATE
-  /// TABLE and the snapshot loader; direct scratch tables stay ephemeral).
-  Result<Table*> CreateTableDirect(TableSchema schema,
-                                   bool transactional = true,
-                                   bool durable = false);
+  /// `durable = true` wires the table into the undo log, WAL logging and
+  /// snapshots (SQL CREATE TABLE and the snapshot loader). `durable = false`
+  /// makes an engine scratch table: writes to it are never undone, logged,
+  /// or checkpointed, and a restart or TryHeal forgets it.
+  Result<Table*> CreateTableDirect(TableSchema schema, bool durable);
   Status InsertDirect(Table* table, Row row);
-  /// Drops a table from the catalog without SQL (exempt from the DDL txn
-  /// barrier; see above). Also removes triggers on the table, purges its
-  /// undo records, and bumps its per-table plan version (the global catalog
-  /// version is untouched, so unrelated cached plans survive). Dropping a
-  /// DURABLE table this way while both the WAL and a transaction are open
-  /// is rejected — the drop is not undoable, so its WAL record could not
-  /// roll back with the enclosing scope.
-  Status DropTableDirect(std::string_view name);
 
   Table* FindTable(std::string_view name);
   const Table* FindTable(std::string_view name) const;
@@ -686,8 +662,6 @@ class Database {
   /// bumps the counter and records a kGovernance trace event.
   bool FlusherStalled() const;
   bool CheckpointStalled() const;
-  /// Bumps the per-table plan-dependency counter for `name`.
-  void BumpTableVersion(std::string_view name);
 
   /// Publishes a new epoch at an outermost commit boundary, then reclaims
   /// retired storage / version-buffer images no pinned reader can reach.
@@ -793,13 +767,6 @@ class Database {
   /// Cached plans for trigger-body statements. Entries are version-guarded
   /// like handle slots and the map is cleared on every version bump.
   std::map<const sql::Statement*, PlanCacheSlot> trigger_plans_;
-  /// Per-table plan-dependency counters (see table_version()). Entries
-  /// outlive their tables so drop/recreate of a name keeps counting up.
-  /// Guarded by table_versions_mu_: reader-session planners insert entries
-  /// concurrently with the writer.
-  std::map<std::string, std::shared_ptr<uint64_t>, AsciiCaseInsensitiveLess>
-      table_versions_;
-  mutable std::mutex table_versions_mu_;
 
   // --- durability ----------------------------------------------------------
   std::string data_dir_;
@@ -898,8 +865,7 @@ class ReaderSession {
   ReaderSession(Database* db, int slot) : db_(db), slot_(slot) {}
 
   /// Per-session cached plan keyed by SQL text (validated against the
-  /// catalog version and per-table dependency counters like writer-side
-  /// handle slots).
+  /// catalog version like writer-side handle slots).
   struct CachedPlan {
     sql::Statement stmt;
     int param_count = 0;

@@ -6,13 +6,12 @@
 // physical operators (rdb/exec_node.h) run over pre-resolved ordinals.
 //
 // Plans capture raw Table* / HashIndex* pointers from the catalog snapshot
-// they were built against; two guards protect every cached reuse. The
-// global Database::catalog_version() is bumped by any SQL DDL (including
-// CREATE INDEX / DROP INDEX — plans capture index choices). In addition
-// each plan records per-table dependencies (PlanTableDep): the direct
-// DropTableDirect bumps only the dropped table's counter, so §6.2.2 staging
-// churn re-plans exactly the statements that referenced the staging tables
-// while every other cached plan stays hot. A stale plan is rebuilt, never
+// they were built against; one guard protects every cached reuse: the
+// global Database::catalog_version(), bumped by any SQL DDL (including
+// CREATE INDEX / DROP INDEX — plans capture index choices) and by TryHeal's
+// catalog rebuild — the only ways a table leaves the catalog. Engine
+// scratch tables (id-list and §6.2.2 staging) are cleared, never dropped,
+// so plans over them stay valid. A stale plan is rebuilt, never
 // dereferenced. Plans are immutable after construction and hold no
 // execution state, so one cached plan can be executed reentrantly (e.g. a
 // recursive trigger body).
@@ -136,16 +135,6 @@ struct PlannedInsert {
   std::shared_ptr<const PlannedSelect> select;
 };
 
-/// One per-table dependency of a cached plan: a handle on the Database's
-/// live per-table version counter plus its value at plan time. Validation
-/// compares the two — never dereferencing a Table — so a direct drop of one
-/// table (which bumps only that table's counter) invalidates exactly the
-/// plans that reference it.
-struct PlanTableDep {
-  std::shared_ptr<const uint64_t> version;
-  uint64_t snapshot = 0;
-};
-
 struct PlannedStatement {
   sql::Statement::Kind kind = sql::Statement::Kind::kSelect;
   std::shared_ptr<const PlannedSelect> select;
@@ -154,9 +143,6 @@ struct PlannedStatement {
   /// Total CTE slots across the statement (including nested subqueries);
   /// sizes the per-execution CTE store.
   int cte_slot_count = 0;
-  /// Every catalog table this plan touches (deduplicated), including tables
-  /// inside CTEs and IN-subqueries.
-  std::vector<PlanTableDep> table_deps;
 };
 
 /// One cached plan: hangs off a StatementHandle (prepared statements) or the
@@ -222,17 +208,12 @@ class Planner {
                        const std::vector<BoundExpr*>& conjuncts,
                        AccessPath* path) const;
 
-  /// Records a dependency on the named catalog table's version counter
-  /// (deduplicated); collected into the finished plan's table_deps.
-  void NoteTable(const std::string& name);
-
   Database* db_;
   const TableSchema* old_schema_;
   bool allow_index_probes_ = true;
   /// CTE scopes visible while planning (innermost last).
   std::vector<CteScope> cte_stack_;
   int next_cte_slot_ = 0;
-  std::vector<PlanTableDep> table_deps_;
 };
 
 /// Actual-execution counters for one plan operator, filled by EXPLAIN

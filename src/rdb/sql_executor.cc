@@ -128,23 +128,11 @@ Result<std::shared_ptr<const PlannedStatement>> Executor::GetPlan(
     const sql::Statement& stmt, PlanCacheSlot* slot) {
   if (slot != nullptr && slot->plan != nullptr && slot->db == db_ &&
       slot->version == db_->catalog_version()) {
-    // The global version covers SQL DDL; the per-table dependencies cover
-    // direct catalog changes (DropTableDirect bumps only the dropped
-    // table's counter, so plans over other tables pass this check).
-    bool deps_current = true;
-    for (const PlanTableDep& dep : slot->plan->table_deps) {
-      if (*dep.version != dep.snapshot) {
-        deps_current = false;
-        break;
-      }
+    ++db_->stats_.plan_cache_hits;
+    if (db_->slow_statement_threshold_us_ >= 0 && trigger_depth_ == 0) {
+      last_plan_ = slot->plan;
     }
-    if (deps_current) {
-      ++db_->stats_.plan_cache_hits;
-      if (db_->slow_statement_threshold_us_ >= 0 && trigger_depth_ == 0) {
-        last_plan_ = slot->plan;
-      }
-      return slot->plan;
-    }
+    return slot->plan;
   }
   Planner planner(db_, trigger_old_schema_);
   XUPD_ASSIGN_OR_RETURN(auto plan, planner.Plan(stmt));
@@ -381,7 +369,7 @@ Result<ResultSet> Executor::RunCreateTable(const sql::CreateTableStmt& stmt) {
   XUPD_ASSIGN_OR_RETURN(
       Table * ignored,
       db_->CreateTableDirect(TableSchema(stmt.name, stmt.columns),
-                             /*transactional=*/true, /*durable=*/true));
+                             /*durable=*/true));
   (void)ignored;
   return ResultSet{};
 }

@@ -24,6 +24,7 @@
 #include "engine/store.h"
 #include "rdb/database.h"
 #include "rdb/vfs.h"
+#include "test_util.h"
 #include "workload/synthetic.h"
 
 namespace xupd {
@@ -34,6 +35,7 @@ using engine::InsertStrategy;
 using engine::RelationalStore;
 using rdb::FaultVfs;
 using FaultKind = rdb::FaultVfs::FaultKind;
+using xupd::testing::DumpDurableState;
 
 // ---------------------------------------------------------------------------
 // Helpers (mirrors recovery_test.cc — each test binary is self-contained)
@@ -68,30 +70,6 @@ class TempDir {
 void WriteFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-/// Renders the full durable state of a database as one comparable string
-/// (same rendering as recovery_test.cc).
-std::string DumpDurableState(const rdb::Database& db) {
-  std::string out = "next_id=" + std::to_string(db.next_id()) + "\n";
-  for (const std::string& name : db.TableNames()) {
-    const rdb::Table* t = db.FindTable(name);
-    if (t == nullptr || !t->durable()) continue;
-    out += "table " + t->schema().name() + " (";
-    for (const auto& c : t->schema().columns()) out += c.name + ",";
-    out += ")\n";
-    for (size_t rowid = 0; rowid < t->capacity(); ++rowid) {
-      out += t->is_live(rowid) ? "  live " : "  dead ";
-      for (const rdb::Value& v : t->row_span(rowid)) out += v.ToString() + "|";
-      out += "\n";
-    }
-    for (const auto& index : t->indexes()) {
-      out += "  index " + index->name() + " col " +
-             std::to_string(index->column()) + " size " +
-             std::to_string(index->size()) + "\n";
-    }
-  }
-  return out;
 }
 
 bool IsBoundaryState(const std::string& got,
@@ -332,7 +310,7 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
   // Ephemeral scratch tables bypass the WAL and stay writable.
   auto scratch = db.CreateTableDirect(
       rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}),
-      /*transactional=*/false);
+      /*durable=*/false);
   ASSERT_TRUE(scratch.ok()) << scratch.status();
   EXPECT_TRUE(db.InsertDirect(scratch.value(), {rdb::Value::Int(7)}).ok());
 

@@ -28,6 +28,7 @@
 #include "rdb/database.h"
 #include "rdb/governance.h"
 #include "rdb/vfs.h"
+#include "test_util.h"
 #include "workload/synthetic.h"
 
 namespace xupd {
@@ -39,6 +40,7 @@ using engine::RelationalStore;
 using rdb::FaultVfs;
 using rdb::MemoryAccountant;
 using FaultKind = rdb::FaultVfs::FaultKind;
+using xupd::testing::DumpDurableState;
 
 // ---------------------------------------------------------------------------
 // Helpers (mirrors fault_injection_test.cc — each test binary is
@@ -70,29 +72,6 @@ class TempDir {
  private:
   std::string path_;
 };
-
-/// Renders the full durable state of a database as one comparable string.
-std::string DumpDurableState(const rdb::Database& db) {
-  std::string out = "next_id=" + std::to_string(db.next_id()) + "\n";
-  for (const std::string& name : db.TableNames()) {
-    const rdb::Table* t = db.FindTable(name);
-    if (t == nullptr || !t->durable()) continue;
-    out += "table " + t->schema().name() + " (";
-    for (const auto& c : t->schema().columns()) out += c.name + ",";
-    out += ")\n";
-    for (size_t rowid = 0; rowid < t->capacity(); ++rowid) {
-      out += t->is_live(rowid) ? "  live " : "  dead ";
-      for (const rdb::Value& v : t->row_span(rowid)) out += v.ToString() + "|";
-      out += "\n";
-    }
-    for (const auto& index : t->indexes()) {
-      out += "  index " + index->name() + " col " +
-             std::to_string(index->column()) + " size " +
-             std::to_string(index->size()) + "\n";
-    }
-  }
-  return out;
-}
 
 /// The cancellation matrix checks EVERY pull, so a small doc suffices; the
 /// budget/deadline tests only poll at every 64th pull and need enough rows

@@ -615,5 +615,73 @@ TEST(MvccStressTest, ConcurrentReadersWithBackgroundCheckpoint) {
   EXPECT_EQ(WriterCount(&db, "SELECT COUNT(*) FROM t"), 200);
 }
 
+TEST(MvccStressTest, TableInsertCopiesTakeNoExclusiveCatalogLock) {
+  // The §6.2.2 table-method copy stages in tmp_ scratch tables created on
+  // first use and cleared after each copy. Creating and dropping them per
+  // copy would take the exclusive catalog lock twice per staging table,
+  // and back-to-back readers holding it shared can starve such a writer.
+  auto dtd = xupd::testing::MustParseDtd(xupd::testing::kCustomerDtd);
+  RelationalStore::Options options;
+  options.delete_strategy = DeleteStrategy::kPerTupleTrigger;
+  options.insert_strategy = InsertStrategy::kTable;
+  auto store = RelationalStore::Create(dtd, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto doc = xupd::testing::MustParse(xupd::testing::kCustomerXml);
+  ASSERT_TRUE((*store)->Load(*doc).ok());
+  rdb::Database* db = (*store)->db();
+  auto ids = (*store)->SelectIds("Customer", "Name = 'Mary'");
+  ASSERT_TRUE(ids.ok()) << ids.status();
+  ASSERT_FALSE(ids->empty());
+  const int64_t mary = ids->front();
+  auto copy = [&] {
+    return (*store)->CopySubtree("Customer", mary, (*store)->root_id());
+  };
+  ASSERT_TRUE(copy().ok());  // warm-up: creates the staging tables
+  const Histogram* exclusive =
+      db->metrics().FindHistogram("catalog_lock.exclusive_wait");
+  ASSERT_NE(exclusive, nullptr);
+  const uint64_t exclusive_before = exclusive->count();
+
+  constexpr int kReaders = 3;
+  constexpr int kCopies = 10;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int64_t> queries{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([db, &done, &failures, &queries] {
+      auto rs = db->OpenReaderSession();
+      if (!rs.ok()) {
+        ++failures;
+        return;
+      }
+      // No think time: the next statement takes the shared lock as soon as
+      // the last one releases it.
+      while (!done.load(std::memory_order_acquire)) {
+        if (!(*rs)->ExecuteQuery("SELECT COUNT(*) FROM Customer").ok()) {
+          ++failures;
+          break;
+        }
+        queries.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Copy only once every reader is querying.
+  while (queries.load(std::memory_order_relaxed) < kReaders &&
+         failures.load() == 0) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < kCopies; ++i) {
+    Status s = copy();
+    EXPECT_TRUE(s.ok()) << s;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(exclusive->count(), exclusive_before);
+  // Three customers loaded, plus the warm-up copy and kCopies more.
+  EXPECT_EQ(WriterCount(db, "SELECT COUNT(*) FROM Customer"), 3 + 1 + kCopies);
+}
+
 }  // namespace
 }  // namespace xupd

@@ -32,6 +32,7 @@ namespace {
 using engine::DeleteStrategy;
 using engine::InsertStrategy;
 using engine::RelationalStore;
+using xupd::testing::DumpDurableState;
 
 // ---------------------------------------------------------------------------
 // Helpers
@@ -72,31 +73,6 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
-
-/// Renders the full durable state of a database — every durable table's
-/// schema, every row slot (with liveness), index definitions, and the
-/// next-id counter — as one comparable string.
-std::string DumpDurableState(const rdb::Database& db) {
-  std::string out = "next_id=" + std::to_string(db.next_id()) + "\n";
-  for (const std::string& name : db.TableNames()) {
-    const rdb::Table* t = db.FindTable(name);
-    if (t == nullptr || !t->durable()) continue;
-    out += "table " + t->schema().name() + " (";
-    for (const auto& c : t->schema().columns()) out += c.name + ",";
-    out += ")\n";
-    for (size_t rowid = 0; rowid < t->capacity(); ++rowid) {
-      out += t->is_live(rowid) ? "  live " : "  dead ";
-      for (const rdb::Value& v : t->row_span(rowid)) out += v.ToString() + "|";
-      out += "\n";
-    }
-    for (const auto& index : t->indexes()) {
-      out += "  index " + index->name() + " col " +
-             std::to_string(index->column()) + " size " +
-             std::to_string(index->size()) + "\n";
-    }
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +295,7 @@ TEST_F(RdbRecoveryTest, DirectScratchTablesAreEphemeral) {
     Setup(&db);
     auto scratch = db.CreateTableDirect(
         rdb::TableSchema("scratch", {{"id", rdb::ColumnType::kInteger}}),
-        /*transactional=*/false);
+        /*durable=*/false);
     ASSERT_TRUE(scratch.ok());
     ASSERT_TRUE(db.InsertDirect(scratch.value(), {rdb::Value::Int(1)}).ok());
     Must(&db, "INSERT INTO t VALUES (1, 'real')");
@@ -328,21 +304,6 @@ TEST_F(RdbRecoveryTest, DirectScratchTablesAreEphemeral) {
   ASSERT_TRUE(db2.Open(dir_.path()).ok());
   EXPECT_EQ(db2.FindTable("scratch"), nullptr);
   EXPECT_EQ(Count(&db2), 1);
-}
-
-TEST_F(RdbRecoveryTest, DroppingDurableTableDirectInsideTxnIsRejected) {
-  {
-    rdb::Database db;
-    Setup(&db);
-    ASSERT_TRUE(db.Begin().ok());
-    Status s = db.DropTableDirect("t");
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-    ASSERT_TRUE(db.Commit().ok());
-    EXPECT_TRUE(db.DropTableDirect("t").ok());
-  }
-  rdb::Database db2;
-  ASSERT_TRUE(db2.Open(dir_.path()).ok());
-  EXPECT_EQ(db2.FindTable("t"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "rdb/database.h"
+
 namespace xupd::testing {
 
 const char kBioXml[] = R"(<db lab="lalab">
@@ -110,6 +112,28 @@ xml::Dtd MustParseDtd(const std::string& text) {
     std::abort();
   }
   return std::move(dtd).value();
+}
+
+std::string DumpDurableState(const rdb::Database& db) {
+  std::string out = "next_id=" + std::to_string(db.next_id()) + "\n";
+  for (const std::string& name : db.TableNames()) {
+    const rdb::Table* t = db.FindTable(name);
+    if (t == nullptr || !t->durable()) continue;
+    out += "table " + t->schema().name() + " (";
+    for (const auto& c : t->schema().columns()) out += c.name + ",";
+    out += ")\n";
+    for (size_t rowid = 0; rowid < t->capacity(); ++rowid) {
+      out += t->is_live(rowid) ? "  live " : "  dead ";
+      for (const rdb::Value& v : t->row_span(rowid)) out += v.ToString() + "|";
+      out += "\n";
+    }
+    for (const auto& index : t->indexes()) {
+      out += "  index " + index->name() + " col " +
+             std::to_string(index->column()) + " size " +
+             std::to_string(index->size()) + "\n";
+    }
+  }
+  return out;
 }
 
 }  // namespace xupd::testing

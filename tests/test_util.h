@@ -9,6 +9,10 @@
 #include "xml/dtd.h"
 #include "xml/parser.h"
 
+namespace xupd::rdb {
+class Database;
+}  // namespace xupd::rdb
+
 namespace xupd::testing {
 
 /// The bio-labs document of Figure 1 of the paper.
@@ -30,6 +34,11 @@ std::unique_ptr<xml::Document> MustParse(const std::string& text);
 
 /// Parses a DTD or aborts.
 xml::Dtd MustParseDtd(const std::string& text);
+
+/// Renders the full durable state of a database — every durable table's
+/// schema, every row slot (with liveness), index definitions, and the
+/// next-id counter — as one comparable string.
+std::string DumpDurableState(const rdb::Database& db);
 
 }  // namespace xupd::testing
 
