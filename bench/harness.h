@@ -106,7 +106,7 @@ inline std::unique_ptr<engine::RelationalStore> FreshStore(
   return FreshStore(gen, options);
 }
 
-/// Measures `op` on fresh stores built with explicit options: runs+1
+/// Measures `op` on fresh stores built with explicit options: `runs`
 /// executions, first discarded, returns the average seconds plus a per-run
 /// latency histogram (see MeasuredRuns).
 inline MeasuredRuns MeasureOnFreshStores(
@@ -132,7 +132,7 @@ inline MeasuredRuns MeasureOnFreshStores(
   return out;
 }
 
-/// Measures `op` on fresh stores: runs+1 executions, first discarded,
+/// Measures `op` on fresh stores: `runs` executions, first discarded,
 /// returns the average seconds plus a per-run latency histogram.
 inline MeasuredRuns MeasureOnFreshStores(
     const workload::GeneratedDoc& gen, engine::DeleteStrategy del,

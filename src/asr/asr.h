@@ -30,7 +30,7 @@ class AsrManager {
     return "id_" + t->table;
   }
 
-  /// CREATE TABLE asr(...) + an index on every id column.
+  /// CREATE TABLE asr(...) + an index on every id column and on `marked`.
   Status CreateSchema();
 
   /// Builds all path rows from freshly shredded tuples (bulk, direct API).

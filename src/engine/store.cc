@@ -118,14 +118,14 @@ Result<std::unique_ptr<RelationalStore>> RelationalStore::Create(
     // reopen is a clean error, not silent corruption.
     XUPD_RETURN_IF_ERROR(store->VerifyStoredOptions());
     // Re-derive the engine's root id from the stored root tuple (the
-    // shredder attaches the document root to parent 0).
+    // shredder stores the document root with a NULL parentId).
     const TableMapping* root = store->mapping_->root();
     if (store->db_.FindTable(root->table) == nullptr) {
       return Status::Internal("recovered store is missing root table '" +
                               root->table + "' (DTD mismatch?)");
     }
     auto root_row = store->db_.ExecuteQuery(
-        "SELECT id FROM " + root->table + " WHERE parentId = 0 ORDER BY id");
+        "SELECT id FROM " + root->table + " WHERE parentId IS NULL ORDER BY id");
     if (!root_row.ok()) return root_row.status();
     if (!root_row->rows.empty()) {
       store->root_id_ = root_row->rows[0][0].AsInt();

@@ -69,20 +69,23 @@ void VerifyTableIndexes(const Table& t, std::vector<std::string>* out) {
                      std::to_string(t.live_count()) + " live rows");
     }
     // Forward direction: a missing entry would make index probes silently
-    // drop rows that a full scan still sees.
+    // drop rows that a full scan still sees. A Lookup walks the row's key
+    // chain and marks every row it reaches that carries the key, so a clean
+    // index costs one Lookup per distinct key — linear in entries, where a
+    // Lookup per row re-walks a low-cardinality key's chain for every row.
+    std::vector<bool> reached(t.capacity(), false);
     std::vector<size_t> hits;
     for (size_t rowid = 0; rowid < t.capacity(); ++rowid) {
-      if (!t.is_live(rowid)) continue;
+      if (!t.is_live(rowid) || reached[rowid]) continue;
+      const Value& v = t.row(rowid)[col];
       hits.clear();
-      index->Lookup(t.row(rowid)[col], &hits);
-      bool found = false;
+      index->Lookup(v, &hits);
       for (size_t h : hits) {
-        if (h == rowid) {
-          found = true;
-          break;
+        if (h < t.capacity() && t.is_live(h) && t.row(h)[col] == v) {
+          reached[h] = true;
         }
       }
-      if (!found) {
+      if (!reached[rowid]) {
         out->push_back("live row " + std::to_string(rowid) + " of table '" +
                        tname + "' is missing from index '" + index->name() +
                        "'");

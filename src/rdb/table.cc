@@ -1,5 +1,7 @@
 #include "rdb/table.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <new>
 
@@ -63,14 +65,21 @@ void HashIndex::Rehash(size_t new_cap) {
   }
 }
 
+size_t HashIndex::CapacityFor(size_t live) {
+  return std::bit_ceil(std::max(kInitialCap, live * 2));
+}
+
 void HashIndex::Insert(const Value& v, size_t rowid) {
-  // Grow at 3/4 load of the entry table (tombstones count — they lengthen
-  // probe runs just like live entries).
+  // Rehash at 3/4 load of either table (tombstones count — they lengthen
+  // probe runs just like live entries), to a capacity sized from the live
+  // entries: it grows when they fill the table and stays put or shrinks
+  // when tombstones do. After a rehash the live entries fill at most half
+  // the table, so at least 1/4 of it is inserted before the next one.
   if (slots_.empty()) {
     Rehash(kInitialCap);
   } else if ((slots_used_ + 1) * 4 > slots_.size() * 3 ||
              (heads_used_ + 1) * 4 > heads_.size() * 3) {
-    Rehash(slots_.size() * 2);
+    Rehash(CapacityFor(size_ + 1));
   }
   InsertEntry(v.Hash(), v, rowid);
 }
@@ -161,6 +170,11 @@ void HashIndex::Erase(const Value& v, size_t rowid) {
   s.prev = -1;
   s.next = -1;
   --size_;
+  // Shrink once live entries fill under 1/8 of the table. A rehash leaves
+  // more than 1/4 live, so more than 1/8 of the table is erased in between.
+  if (slots_.size() > kInitialCap && size_ * 8 < slots_.size()) {
+    Rehash(CapacityFor(size_));
+  }
 }
 
 void HashIndex::Lookup(const Value& v, std::vector<size_t>* out) const {
@@ -175,8 +189,8 @@ void HashIndex::Lookup(const Value& v, std::vector<size_t>* out) const {
 }
 
 void HashIndex::Clear() {
-  for (Slot& s : slots_) s = Slot();
-  heads_.assign(heads_.size(), kHeadEmpty);
+  slots_ = std::vector<Slot>();
+  heads_ = std::vector<int32_t>();
   size_ = 0;
   slots_used_ = 0;
   heads_used_ = 0;

@@ -79,9 +79,15 @@ struct TableAccessStats {
 
 /// Hash index over one column: value -> set of row ids. Erase of an exact
 /// (value, rowid) pair stays O(1) even for low-cardinality keys (e.g. a
-/// parentId shared by thousands of children, or an ASR column holding the
-/// single root id) because the pair table is open-addressed on
-/// (value, rowid), not on the value alone.
+/// parentId shared by thousands of children, an ASR column holding the
+/// single root id, or the ASR `marked` flag) because the pair table is
+/// open-addressed on (value, rowid), not on the value alone.
+///
+/// Capacity follows the live entries, not the insert history: a rehash —
+/// triggered when occupied + tombstoned slots reach 3/4 on insert, or when
+/// live entries fall below 1/8 on erase — sizes both flat tables to hold
+/// the live entries at most half full. A column whose values flip back and
+/// forth (two index entries per flip) therefore keeps a bounded footprint.
 class HashIndex {
  public:
   HashIndex(std::string name, int column)
@@ -98,8 +104,12 @@ class HashIndex {
   /// deterministic order sort; multi-probe callers dedupe too). Counts one
   /// probe, and one hit when at least one row id matched.
   void Lookup(const Value& v, std::vector<size_t>* out) const;
+  /// Drops every entry and releases both flat tables.
   void Clear();
   size_t size() const { return size_; }
+  /// Entry-table slots (live + tombstoned + empty): the memory footprint
+  /// in entries. Stays within max(16, 8 * size()).
+  size_t capacity() const { return slots_.size(); }
 
   /// Probe lookups issued against this index, and how many found at least
   /// one entry (SHOW TABLE STATS).
@@ -134,8 +144,11 @@ class HashIndex {
   void InsertEntry(uint64_t vhash, const Value& v, size_t rowid);
   /// heads_ position whose chain head carries key `v`, or -1.
   int32_t FindHead(uint64_t vhash, const Value& v) const;
-  /// Grows (or initializes) both flat tables and relinks every chain.
+  /// Rebuilds both flat tables at `new_cap` slots, dropping tombstones and
+  /// relinking every chain.
   void Rehash(size_t new_cap);
+  /// Power-of-two capacity that holds `live` entries at most half full.
+  static size_t CapacityFor(size_t live);
   /// Finalizing bit mixer (murmur3 fmix64). Value::Hash of an integer is
   /// the identity (libstdc++ std::hash<int64_t>), and the engine's keys and
   /// rowids are dense sequential ints — feeding them to linear probing

@@ -365,6 +365,58 @@ TEST(AsrTest, BulkDeleteRepairsLeftCompleteness) {
   EXPECT_EQ(row->rows[0][0].AsInt(), store->root_id());
 }
 
+uint64_t AsrScans(RelationalStore* store) {
+  return store->db()->FindTable("asr")->access_stats().scans;
+}
+
+TEST(AsrTest, CopyProbesTheMarkSetWithoutScanningTheAsr) {
+  // Every statement after the marking UPDATE reads `asr WHERE marked = 1`
+  // through idx_asr_marked, and the marking UPDATE probes an id column.
+  auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  const uint64_t before = AsrScans(store.get());
+  ASSERT_TRUE(store->CopySubtreesWhere("Customer", "Name = 'Mary'",
+                                       store->root_id())
+                  .ok());
+  EXPECT_EQ(AsrScans(store.get()), before);
+  EXPECT_EQ(Count(store.get(), "asr"), 6);
+}
+
+TEST(AsrTest, DeleteScansTheAsrOnlyForTheLeftCompletenessRepair) {
+  // The one remaining scan is the anti-join of the parent table against
+  // the whole ASR that finds ancestors left without a path.
+  auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+  const uint64_t before = AsrScans(store.get());
+  ASSERT_TRUE(store->DeleteWhere("Customer", "Name = 'John'").ok());
+  EXPECT_EQ(AsrScans(store.get()), before + 1);
+  EXPECT_EQ(Count(store.get(), "asr"), 1);  // Mary's one path
+}
+
+TEST(AsrTest, MarkSetProbesAndScansAgree) {
+  // The same ASR copies and deletes with index probes disabled (every
+  // `marked = 1` read scans) must leave the same document and clean scrubs.
+  std::vector<std::string> docs;
+  for (bool probes : {true, false}) {
+    auto store = MakeStore(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+    store->db()->set_planner_index_probes_enabled(probes);
+    ASSERT_TRUE(store->CopySubtreesWhere("Customer", "Name = 'Mary'",
+                                         store->root_id())
+                    .ok());
+    auto orders = store->SelectIds("Order", "");
+    auto marys = store->SelectIds("Customer", "Name = 'Mary'");
+    ASSERT_TRUE(orders.ok() && marys.ok());
+    ASSERT_TRUE(
+        store->CopySubtree("Order", orders->front(), marys->front()).ok());
+    ASSERT_TRUE(store->DeleteWhere("Customer", "Name = 'John'").ok());
+    ASSERT_TRUE(store->DeleteWhere("OrderLine", "").ok());
+    EXPECT_TRUE(store->VerifyStore().empty());
+    EXPECT_TRUE(store->db()->VerifyIntegrity().empty());
+    auto rebuilt = store->Reconstruct();
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    docs.push_back(xml::Serialize(*rebuilt.value()->root()));
+  }
+  EXPECT_EQ(docs[0], docs[1]);
+}
+
 // ---------------------------------------------------------------------------
 // Path queries (§5.3 / §7.2).
 

@@ -763,6 +763,68 @@ TEST(EngineRecoveryTest, CheckpointThenMutateThenRecover) {
   EXPECT_TRUE(reopened->VerifyStore().empty());
 }
 
+TEST(EngineRecoveryTest, ReopenRecoversRootId) {
+  // The root tuple is stored with a NULL parentId; a reopened store must
+  // find it, or copies to the document root would attach to id 0.
+  workload::GeneratedDoc gen = MakeDoc();
+  TempDir dir;
+  int64_t root_id = 0;
+  {
+    auto store = MakeDurableStore(gen, dir.path(), DeleteStrategy::kCascade,
+                                  InsertStrategy::kTable, true);
+    ASSERT_NE(store, nullptr);
+    root_id = store->root_id();
+  }
+  auto reopened = MakeDurableStore(gen, dir.path(), DeleteStrategy::kCascade,
+                                   InsertStrategy::kTable, false);
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_TRUE(reopened->recovered());
+  EXPECT_NE(root_id, 0);
+  EXPECT_EQ(reopened->root_id(), root_id);
+}
+
+TEST(EngineRecoveryTest, AsrStoreWithoutMarkIndexStillUpdatesByScanning) {
+  // A durable ASR store created before `asr (marked)` was indexed: dropping
+  // the index and reopening stands in for one. Its ASR copies and deletes
+  // read the mark set by scanning and must match an indexed store's.
+  workload::GeneratedDoc gen = MakeDoc();
+  auto update = [](RelationalStore* s) {
+    auto dest = s->SelectIds("n1", "");
+    ASSERT_TRUE(dest.ok() && !dest->empty());
+    ASSERT_TRUE(s->CopySubtreesWhere("n2", "v2 < 300000", dest->back()).ok());
+    ASSERT_TRUE(s->DeleteWhere("n3", "v3 < 500000").ok());
+  };
+  RelationalStore::Options options;
+  options.delete_strategy = DeleteStrategy::kAsr;
+  options.insert_strategy = InsertStrategy::kAsr;
+  auto indexed = RelationalStore::Create(gen.dtd, options);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  ASSERT_TRUE(indexed.value()->Load(*gen.doc).ok());
+  update(indexed.value().get());
+
+  TempDir dir;
+  {
+    auto store = MakeDurableStore(gen, dir.path(), DeleteStrategy::kAsr,
+                                  InsertStrategy::kAsr, true);
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(store->db()->Execute("DROP INDEX idx_asr_marked").ok());
+  }
+  auto reopened = MakeDurableStore(gen, dir.path(), DeleteStrategy::kAsr,
+                                   InsertStrategy::kAsr, false);
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_TRUE(reopened->recovered());
+  const rdb::Table* asr = reopened->db()->FindTable("asr");
+  ASSERT_NE(asr, nullptr);
+  EXPECT_EQ(asr->FindIndexByName("idx_asr_marked"), nullptr);
+  const uint64_t scans = asr->access_stats().scans;
+  update(reopened.get());
+  EXPECT_GT(asr->access_stats().scans, scans + 2);
+  EXPECT_TRUE(reopened->db()->VerifyIntegrity().empty());
+  EXPECT_TRUE(reopened->VerifyStore().empty());
+  EXPECT_EQ(SerializeStore(reopened.get()),
+            SerializeStore(indexed.value().get()));
+}
+
 // ---------------------------------------------------------------------------
 // Strategy options are persisted in the durable state (the xupd_meta
 // table) and verified on reopen: a mismatched reopen is a clean error.

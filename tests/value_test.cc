@@ -247,5 +247,47 @@ TEST(HashIndexStressTest, LowCardinalityKeyEraseStaysExact) {
   for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], 2 * i + 1);
 }
 
+TEST(HashIndexStressTest, CapacityFollowsLiveEntriesUnderChurn) {
+  // 1M insert/erase pairs with at most 1k live entries, half of them
+  // flipping one row between two keys (the ASR `marked` shape: every flip
+  // erases one pair and inserts another). Tombstones must be reclaimed by
+  // rehashing to the live count, not by doubling the table forever.
+  HashIndex index("churn", 0);
+  constexpr size_t kLive = 1000;
+  size_t max_capacity = 0;
+  Rng rng(7);
+  for (size_t r = 0; r < kLive; ++r) index.Insert(Value::Int(0), r);
+  for (size_t step = 0; step < 500000; ++step) {
+    const size_t rowid = rng.Uniform(kLive);
+    if (step % 2 == 0) {
+      // Fresh keys: erase a row's entry and re-add it under a new value.
+      index.Erase(Value::Int(0), rowid);
+      index.Insert(Value::Int(static_cast<int64_t>(step) + 1), rowid);
+      index.Erase(Value::Int(static_cast<int64_t>(step) + 1), rowid);
+      index.Insert(Value::Int(0), rowid);
+    } else {
+      index.Erase(Value::Int(0), rowid);
+      index.Insert(Value::Int(1), rowid);
+      index.Erase(Value::Int(1), rowid);
+      index.Insert(Value::Int(0), rowid);
+    }
+    max_capacity = std::max(max_capacity, index.capacity());
+  }
+  EXPECT_EQ(index.size(), kLive);
+  EXPECT_LE(max_capacity, 4 * kLive);
+  std::vector<size_t> got;
+  index.Lookup(Value::Int(0), &got);
+  EXPECT_EQ(got.size(), kLive);
+
+  // Erasing down to a handful of entries shrinks the table too.
+  for (size_t r = 8; r < kLive; ++r) index.Erase(Value::Int(0), r);
+  EXPECT_EQ(index.size(), 8u);
+  EXPECT_LE(index.capacity(), 64u);
+  got.clear();
+  index.Lookup(Value::Int(0), &got);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 }  // namespace
 }  // namespace xupd::rdb
