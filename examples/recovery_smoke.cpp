@@ -14,6 +14,13 @@
 //                                          degradation), both scrub layers
 //                                          must pass, and the run completes
 //                                          after the fault clears
+//   recovery_smoke write-background <dir> [max_ops]
+//                                          same workload, but every 25th op
+//                                          joins the previous off-thread
+//                                          checkpoint and starts the next
+//                                          one (CheckpointWait +
+//                                          CheckpointBackground) instead of
+//                                          a blocking Checkpoint
 //   recovery_smoke verify <dir>            recover, read how many ops
 //                                          committed, replay that many ops
 //                                          on a fresh in-memory store, and
@@ -142,7 +149,10 @@ std::string DumpDurableState(const rdb::Database& db) {
   return out;
 }
 
-int RunWriter(const std::string& dir, int64_t max_ops, bool enospc) {
+enum class WriteMode { kBlocking, kEnospc, kBackground };
+
+int RunWriter(const std::string& dir, int64_t max_ops, WriteMode mode) {
+  const bool enospc = mode == WriteMode::kEnospc;
   workload::GeneratedDoc gen = MakeDoc();
   rdb::FaultVfs fault(rdb::Vfs::Default());
   RelationalStore::Options options = StoreOptions(dir);
@@ -177,7 +187,18 @@ int RunWriter(const std::string& dir, int64_t max_ops, bool enospc) {
                    static_cast<long long>(i), s.ToString().c_str());
       return 2;
     }
-    if (i % 25 == 0) {
+    if (i % 25 == 0 && mode == WriteMode::kBackground) {
+      // The snapshot is written while the next ops commit; a SIGKILL can
+      // land mid-write, leaving the previous snapshot + full WAL.
+      rdb::Database* db = store.value()->db();
+      s = db->CheckpointWait();
+      if (s.ok()) s = db->CheckpointBackground();
+      if (!s.ok()) {
+        std::fprintf(stderr, "background checkpoint failed: %s\n",
+                     s.ToString().c_str());
+        return 2;
+      }
+    } else if (i % 25 == 0) {
       s = store.value()->Checkpoint();
       if (!s.ok()) {
         // In enospc mode exactly one checkpoint is expected to fail: the
@@ -227,6 +248,12 @@ int RunWriter(const std::string& dir, int64_t max_ops, bool enospc) {
   }
   if (enospc && !fault_hit) {
     std::fprintf(stderr, "injected fault never fired\n");
+    return 2;
+  }
+  s = store.value()->db()->CheckpointWait();
+  if (!s.ok()) {
+    std::fprintf(stderr, "background checkpoint failed: %s\n",
+                 s.ToString().c_str());
     return 2;
   }
   std::printf("writer: completed %lld ops\n",
@@ -292,16 +319,21 @@ int RunVerifier(const std::string& dir) {
 int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: %s write|write-enospc <dir> [max_ops] | "
+                 "usage: %s write|write-enospc|write-background <dir> "
+                 "[max_ops] | "
                  "%s verify <dir>\n",
                  argv[0], argv[0]);
     return 2;
   }
   std::string mode = argv[1];
   std::string dir = argv[2];
-  if (mode == "write" || mode == "write-enospc") {
-    int64_t max_ops = argc > 3 ? std::atoll(argv[3]) : 0;
-    return RunWriter(dir, max_ops, mode == "write-enospc");
+  const int64_t max_ops = argc > 3 ? std::atoll(argv[3]) : 0;
+  if (mode == "write") return RunWriter(dir, max_ops, WriteMode::kBlocking);
+  if (mode == "write-enospc") {
+    return RunWriter(dir, max_ops, WriteMode::kEnospc);
+  }
+  if (mode == "write-background") {
+    return RunWriter(dir, max_ops, WriteMode::kBackground);
   }
   if (mode == "verify") return RunVerifier(dir);
   std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());

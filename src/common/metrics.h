@@ -202,9 +202,10 @@ struct TraceEvent {
     kTxn,         ///< outermost BEGIN..COMMIT/ROLLBACK; a = 1 if committed.
     kWalUnit,     ///< one WAL commit unit; a = records, b = bytes.
     kFsync,       ///< one WAL fsync; a = commit units batched into it.
-    kCheckpoint,  ///< snapshot + WAL truncation (snapshot.write histogram
-                  ///< holds the write alone). a = 0 blocking, 1 background
-                  ///< snapshot write, 2 background schedule (writer side).
+    kCheckpoint,  ///< one checkpoint's snapshot write (snapshot.write
+                  ///< histogram holds the write alone). a = 0 blocking
+                  ///< (inline write + WAL reset), 1 background snapshot
+                  ///< write, 2 background schedule (writer side).
     kRecovery,    ///< startup replay; a = records replayed.
     kScrub,       ///< integrity scrub; a = violations found.
     kEngineOp,    ///< one engine/store.cc operation; a = SQL exec ns,

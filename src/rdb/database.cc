@@ -286,16 +286,8 @@ Status Database::RecoverFromDir() {
   stats_.recovery_replayed += replay.applied_records;
   recovered_ = have_snapshot || replay.applied_records > 0;
 
-  auto writer = WalWriter::Open(vfs_, WalPath(data_dir_), epoch,
-                                replay.valid_bytes, durability_options_,
-                                &stats_, &replay.table_ids);
-  if (!writer.ok()) return writer.status();
-  wal_ = std::move(writer).value();
-  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
-                      metrics_.GetHistogram("wal.fsync"),
-                      metrics_.GetHistogram("wal.batch_commits"), &events_);
-  wal_->set_accountant(&mem_);
-  txn_.AttachWal(wal_.get());
+  XUPD_RETURN_IF_ERROR(
+      OpenWalWriter(epoch, replay.valid_bytes, &replay.table_ids));
   // Everything loaded so far belongs to the pre-boundary epoch; publish the
   // first post-recovery boundary so reader pins see the recovered state.
   epochs_.Advance();
@@ -306,7 +298,22 @@ Status Database::RecoverFromDir() {
   return Status::OK();
 }
 
-Status Database::Checkpoint() {
+Status Database::OpenWalWriter(
+    uint64_t epoch, uint64_t valid_bytes,
+    const std::vector<std::pair<std::string, uint16_t>>* table_ids) {
+  auto writer = WalWriter::Open(vfs_, WalPath(data_dir_), epoch, valid_bytes,
+                                durability_options_, &stats_, table_ids);
+  if (!writer.ok()) return writer.status();
+  wal_ = std::move(writer).value();
+  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
+                      metrics_.GetHistogram("wal.fsync"),
+                      metrics_.GetHistogram("wal.batch_commits"), &events_);
+  wal_->set_accountant(&mem_);
+  txn_.AttachWal(wal_.get());
+  return Status::OK();
+}
+
+Status Database::CaptureCheckpoint(bool reset_wal, CheckpointCapture* out) {
   if (wal_ == nullptr) {
     return Status::InvalidArgument("durability is not open");
   }
@@ -316,22 +323,52 @@ Status Database::Checkpoint() {
         "cannot checkpoint inside a transaction (the snapshot must not "
         "contain uncommitted effects)");
   }
-  // A background checkpoint holds raw Table* and WAL-offset assumptions
-  // this full checkpoint would invalidate (it truncates the WAL). Its own
-  // failure is benign (old snapshot + full WAL stay consistent), so it
-  // does not block this full checkpoint.
-  (void)CheckpointWait();
-  Status unit = WalCommitUnit();
-  if (!unit.ok()) {
-    if (wal_->broken()) EnterReadOnly(unit);
-    return unit;
+  if (checkpoint_running_) {
+    if (!reset_wal) {
+      return Status::InvalidArgument(
+          "a background checkpoint is already running");
+    }
+    // The running one holds raw Table* and a WAL offset the reset below
+    // would invalidate. Its own failure is benign (old snapshot + full WAL
+    // stay consistent), so it does not block this checkpoint.
+    (void)CheckpointWait();
   }
+  XUPD_RETURN_IF_ERROR(WalCommitUnit());
+  if (!reset_wal) {
+    // Everything the snapshot will claim (bytes below wal_offset) must be
+    // power-loss durable before the offset is stamped: under kBatched
+    // there may be acknowledged-but-unsynced units.
+    Status synced = wal_->Sync();
+    if (!synced.ok()) {
+      if (wal_->broken()) EnterReadOnly(synced);
+      return synced;
+    }
+  }
+  // Publish the boundary the snapshot captures. Only this (writer) thread
+  // advances epochs, so nothing commits between here and the WAL reset of
+  // a blocking checkpoint.
+  AdvanceEpochBoundary();
+  out->pin_epoch = epochs_.current();
+  out->next_id = next_id_;
+  out->wal_offset = reset_wal ? 0 : wal_->file_size();
+  out->epoch = reset_wal ? wal_->epoch() + 1 : wal_->epoch();
+  for (const auto& [name, table] : tables_) {
+    if (!table->durable()) continue;
+    out->tables.emplace_back(table.get(), table->SnapshotRowCount());
+  }
+  for (const auto& trigger : triggers_) out->trigger_sql.push_back(trigger.sql);
+  return Status::OK();
+}
+
+Status Database::Checkpoint() {
+  CheckpointCapture capture;
+  XUPD_RETURN_IF_ERROR(CaptureCheckpoint(/*reset_wal=*/true, &capture));
+  // Inline on the writer thread: it is the only thread that retires
+  // storage, so the captured epoch needs no reader slot.
   const uint64_t t0 = MonotonicNanos();
-  const uint64_t new_epoch = wal_->epoch() + 1;
   bool renamed = false;
   Status snap = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
-                              SnapshotTmpPath(data_dir_), new_epoch,
-                              /*wal_offset=*/0, &renamed);
+                              SnapshotTmpPath(data_dir_), capture, &renamed);
   if (!snap.ok()) {
     // Fail-stop only when the new-epoch snapshot is already visible (the
     // failure hit the post-rename directory fsync): the still-open
@@ -351,28 +388,18 @@ Status Database::Checkpoint() {
   // old-epoch WAL that recovery recognizes as contained and ignores.
   // flusher_mu_ keeps the group-commit flusher off wal_ across the swap.
   std::unique_lock<std::mutex> flusher_lock(flusher_mu_);
-  Status closed = wal_->Close();
-  auto reopened = closed.ok()
-                      ? WalWriter::Open(vfs_, WalPath(data_dir_), new_epoch, 0,
-                                        durability_options_, &stats_)
-                      : Result<std::unique_ptr<WalWriter>>(closed);
-  if (!reopened.ok()) {
+  Status reset = wal_->Close();
+  if (reset.ok()) reset = OpenWalWriter(capture.epoch, 0);
+  if (!reset.ok()) {
     // Same fail-stop: the snapshot is durable up to this point, but the
     // log cannot accept new units. The (closed) writer stays attached in
     // its broken state so mutations still pend and every later durable
     // COMMIT fails loudly at its unit boundary.
-    wal_->MarkBroken("cannot reset WAL after checkpoint: " +
-                     reopened.status().message());
+    wal_->MarkBroken("cannot reset WAL after checkpoint: " + reset.message());
     flusher_lock.unlock();
-    EnterReadOnly(reopened.status());
-    return reopened.status();
+    EnterReadOnly(reset);
+    return reset;
   }
-  wal_ = std::move(reopened).value();
-  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
-                      metrics_.GetHistogram("wal.fsync"),
-                      metrics_.GetHistogram("wal.batch_commits"), &events_);
-  wal_->set_accountant(&mem_);
-  txn_.AttachWal(wal_.get());
   flusher_lock.unlock();
   ++stats_.checkpoints;
   const uint64_t dur = MonotonicNanos() - t0;
@@ -453,58 +480,45 @@ Database::Health Database::health() const {
   Health h;
   h.read_only = read_only_.load(std::memory_order_acquire);
   h.cause = read_only_cause_;
-  h.flusher_stalled = FlusherStalled();
-  h.checkpoint_stalled = CheckpointStalled();
+  h.flusher_stalled = WatchdogStalled(
+      flusher_.joinable(), flusher_heartbeat_ns_, GroupCommitWindowUs(),
+      &flusher_stall_reported_, flusher_stall_counter_, "flusher_stall");
+  // A finished-but-unjoined background checkpoint made its progress; only
+  // a thread still inside the snapshot write can be stalled.
+  h.checkpoint_stalled = WatchdogStalled(
+      checkpoint_running_ && !checkpoint_done_.load(std::memory_order_acquire),
+      checkpoint_heartbeat_ns_, checkpoint_watchdog_window_us_,
+      &checkpoint_stall_reported_, checkpoint_stall_counter_,
+      "checkpoint_stall");
   return h;
 }
 
-bool Database::FlusherStalled() const {
-  const uint64_t hb = flusher_heartbeat_ns_.load(std::memory_order_acquire);
-  if (!flusher_.joinable() || hb == 0) return false;
-  const int window_us = durability_options_.group_commit_window_us > 0
-                            ? durability_options_.group_commit_window_us
-                            : 2000;
+int Database::GroupCommitWindowUs() const {
+  return durability_options_.group_commit_window_us > 0
+             ? durability_options_.group_commit_window_us
+             : 2000;
+}
+
+bool Database::WatchdogStalled(bool running,
+                               const std::atomic<uint64_t>& heartbeat_ns,
+                               int64_t window_us, std::atomic<bool>* reported,
+                               std::atomic<uint64_t>* counter,
+                               const char* event) const {
+  const uint64_t hb = heartbeat_ns.load(std::memory_order_acquire);
   const uint64_t budget = static_cast<uint64_t>(watchdog_stall_windows_) *
                           static_cast<uint64_t>(window_us) * 1000;
   const uint64_t now = MonotonicNanos();
-  const bool stalled = now - hb > budget;
-  if (stalled) {
-    if (!flusher_stall_reported_.exchange(true, std::memory_order_acq_rel)) {
-      flusher_stall_counter_->fetch_add(1, std::memory_order_relaxed);
-      events_.Record({TraceEvent::Kind::kGovernance, hb, now - hb,
-                      static_cast<uint64_t>(watchdog_stall_windows_),
-                      static_cast<uint64_t>(window_us), "flusher_stall"});
-    }
-  } else {
-    flusher_stall_reported_.store(false, std::memory_order_release);
-  }
-  return stalled;
-}
-
-bool Database::CheckpointStalled() const {
-  if (!checkpoint_running_ ||
-      checkpoint_done_.load(std::memory_order_acquire)) {
-    // A finished-but-unjoined background checkpoint made its progress; only
-    // a thread still inside the snapshot write can be stalled.
-    checkpoint_stall_reported_.store(false, std::memory_order_release);
+  if (!running || hb == 0 || now - hb <= budget) {
+    reported->store(false, std::memory_order_release);
     return false;
   }
-  const uint64_t hb = checkpoint_heartbeat_ns_.load(std::memory_order_acquire);
-  if (hb == 0) return false;
-  const uint64_t budget = static_cast<uint64_t>(watchdog_stall_windows_) *
-                          static_cast<uint64_t>(checkpoint_watchdog_window_us_) *
-                          1000;
-  const uint64_t now = MonotonicNanos();
-  const bool stalled = now - hb > budget;
-  if (stalled &&
-      !checkpoint_stall_reported_.exchange(true, std::memory_order_acq_rel)) {
-    checkpoint_stall_counter_->fetch_add(1, std::memory_order_relaxed);
+  if (!reported->exchange(true, std::memory_order_acq_rel)) {
+    counter->fetch_add(1, std::memory_order_relaxed);
     events_.Record({TraceEvent::Kind::kGovernance, hb, now - hb,
                     static_cast<uint64_t>(watchdog_stall_windows_),
-                    static_cast<uint64_t>(checkpoint_watchdog_window_us_),
-                    "checkpoint_stall"});
+                    static_cast<uint64_t>(window_us), event});
   }
-  return stalled;
+  return true;
 }
 
 void Database::EnterReadOnly(const Status& cause) {
@@ -1045,9 +1059,7 @@ void Database::StopFlusher() {
 
 void Database::FlusherLoop() {
   trace::SetCurrentThreadName("wal-flusher");
-  const int window_us = durability_options_.group_commit_window_us > 0
-                            ? durability_options_.group_commit_window_us
-                            : 2000;
+  const int window_us = GroupCommitWindowUs();
   // Occupancy of the group-commit window: how much of each period the
   // flusher spent inside Sync (100 ≈ fsync saturates the window and
   // commits start seeing un-amortized latency).
@@ -1081,59 +1093,22 @@ void Database::FlusherLoop() {
 // Off-thread checkpoint
 
 Status Database::CheckpointBackground() {
-  if (wal_ == nullptr) {
-    return Status::InvalidArgument("durability is not open");
-  }
-  if (read_only_) return ReadOnlyError("checkpoint");
-  if (txn_.active()) {
-    return Status::InvalidArgument(
-        "cannot checkpoint inside a transaction (the snapshot must not "
-        "contain uncommitted effects)");
-  }
-  if (checkpoint_running_) {
-    return Status::InvalidArgument(
-        "a background checkpoint is already running");
-  }
-  Status unit = WalCommitUnit();
-  if (!unit.ok()) {
-    if (wal_->broken()) EnterReadOnly(unit);
-    return unit;
-  }
-  // Everything the snapshot will claim (bytes below wal_offset) must be
-  // power-loss durable before the offset is stamped: under kBatched there
-  // may be acknowledged-but-unsynced units.
-  Status synced = wal_->Sync();
-  if (!synced.ok()) {
-    if (wal_->broken()) EnterReadOnly(synced);
-    return synced;
-  }
-  // Publish the boundary the snapshot captures, then pin it like a reader:
-  // the writer keeps committing past it while the background thread reads
-  // the pinned epoch's view, and reclamation holds anything the pin can
-  // still reach.
-  AdvanceEpochBoundary();
+  CheckpointCapture capture;
+  XUPD_RETURN_IF_ERROR(CaptureCheckpoint(/*reset_wal=*/false, &capture));
+  // Pin the captured boundary like a reader: the writer keeps committing
+  // past it while the background thread reads the pinned epoch's view, and
+  // reclamation holds anything the pin can still reach. Pin() returns the
+  // captured epoch — only this thread advances epochs.
   const int slot = epochs_.AcquireSlot();
   if (slot < 0) {
     return Status::Unavailable(
         "no epoch slot free for a background checkpoint (all reader "
         "sessions in use)");
   }
-  auto capture = std::make_shared<CheckpointCapture>();
-  capture->pin_epoch = epochs_.Pin(slot);
-  capture->next_id = next_id_;
-  capture->wal_offset = wal_->file_size();
-  capture->epoch = wal_->epoch();
-  for (const auto& [name, table] : tables_) {
-    if (!table->durable()) continue;
-    capture->tables.emplace_back(table.get(), table->SnapshotRowCount());
-  }
-  for (const auto& trigger : triggers_) {
-    capture->trigger_sql.push_back(trigger.sql);
-  }
+  epochs_.Pin(slot);
   checkpoint_slot_ = slot;
   checkpoint_running_ = true;
   checkpoint_status_ = Status::OK();
-  checkpoint_renamed_ = false;
   checkpoint_done_.store(false, std::memory_order_release);
   checkpoint_stall_reported_.store(false, std::memory_order_relaxed);
   checkpoint_heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
@@ -1161,7 +1136,8 @@ Status Database::CheckpointBackground() {
   std::condition_variable ready_cv;
   bool ready = false;
   checkpoint_thread_ =
-      std::thread([this, capture, bg_handoff, &ready_mu, &ready_cv, &ready] {
+      std::thread([this, capture = std::move(capture), bg_handoff, &ready_mu,
+                   &ready_cv, &ready] {
         trace::SetCurrentThreadName("checkpoint");
         trace::SpanScope snapshot_span{bg_handoff};
         auto catalog_lock = LockCatalogShared();
@@ -1177,14 +1153,11 @@ Status Database::CheckpointBackground() {
         // below uses only owned/captured state.
         const uint64_t t0 = MonotonicNanos();
         checkpoint_heartbeat_ns_.store(t0, std::memory_order_release);
-        bool renamed = false;
-        Status s =
-            WriteSnapshotAsOf(*this, vfs_, SnapshotPath(data_dir_),
-                              SnapshotTmpPath(data_dir_), *capture, &renamed);
+        Status s = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
+                                 SnapshotTmpPath(data_dir_), capture);
         checkpoint_heartbeat_ns_.store(MonotonicNanos(),
                                        std::memory_order_release);
         checkpoint_status_ = s;
-        checkpoint_renamed_ = renamed;
         if (s.ok()) {
           const uint64_t dur = MonotonicNanos() - t0;
           metrics_.GetHistogram("db.checkpoint")->Record(dur);

@@ -64,6 +64,7 @@ std::string MultiRowInsertSql(std::string_view table, size_t columns,
                               size_t rows);
 
 class ReaderSession;
+struct CheckpointCapture;
 
 // ---------------------------------------------------------------------------
 // Threading model
@@ -101,8 +102,9 @@ class ReaderSession;
 //  * Two background threads may exist: the group-commit flusher (kBatched
 //    durability; fsyncs the WAL every group_commit_window_us) and at most
 //    one off-thread checkpoint (CheckpointBackground; serializes a pinned
-//    epoch while the writer keeps committing). Both are managed internally
-//    and joined by ~Database.
+//    epoch while the writer keeps committing — a blocking Checkpoint runs
+//    the same serializer on the writer thread instead). Both are managed
+//    internally and joined by ~Database.
 //
 // Durability loss bounds per SyncMode, as observed after a crash (what
 // ReplayWal recovers):
@@ -150,21 +152,28 @@ class Database {
   bool recovered() const { return recovered_; }
   bool durability_open() const { return wal_ != nullptr; }
 
-  /// Serializes the full durable state (catalog, rows, tombstones, index
-  /// and trigger definitions, next-id) to a fresh versioned snapshot and
-  /// truncates the WAL. Rejected inside a transaction: a snapshot must not
-  /// contain uncommitted effects. Blocks the writer for the whole write.
+  /// Both checkpoint kinds capture the current commit boundary (catalog,
+  /// every row slot with its liveness and cells, index and trigger
+  /// definitions, next-id) and hand it to one serializer (WriteSnapshot in
+  /// rdb/snapshot.h). Both are rejected inside a transaction: a snapshot
+  /// must not contain uncommitted effects.
+  ///
+  /// Checkpoint() serializes the capture inline on the writer thread —
+  /// blocking the writer for the whole write, taking no reader slot — and
+  /// then resets the WAL to the next epoch. A running background
+  /// checkpoint is joined first.
   Status Checkpoint();
 
-  /// Off-thread checkpoint: captures the current commit boundary (pinning
-  /// its epoch and recording the synced WAL offset), then serializes the
-  /// snapshot on a background thread while the writer keeps committing. The
-  /// WAL is NOT truncated — recovery loads the snapshot and replays only
-  /// the WAL suffix past the recorded offset. Returns once the capture is
-  /// done (fast); CheckpointWait() joins the serialization and reports its
-  /// status. Rejected inside a transaction or while a background checkpoint
-  /// is already running. A background-checkpoint failure is benign: the
-  /// previous snapshot + full WAL still recover everything.
+  /// Off-thread checkpoint: captures the boundary with the synced WAL
+  /// offset, pins its epoch in a reader slot, and serializes it on a
+  /// background thread while the writer keeps committing. The WAL is NOT
+  /// truncated — recovery loads the snapshot and replays only the WAL
+  /// suffix past the recorded offset. Returns once the capture is done
+  /// (fast); CheckpointWait() joins the serialization and reports its
+  /// status. Rejected while a background checkpoint is already running and
+  /// (kUnavailable) when every reader slot is taken. A
+  /// background-checkpoint failure is benign: the previous snapshot + full
+  /// WAL still recover everything.
   Status CheckpointBackground();
   /// Joins an in-flight background checkpoint (no-op when none is running)
   /// and returns its final status.
@@ -625,6 +634,21 @@ class Database {
   /// writer under data_dir_. Requires an empty catalog; on failure partial
   /// state may linger (callers reset or stay read-only).
   Status RecoverFromDir();
+  /// Opens the WAL writer for `epoch` (resuming appends at `valid_bytes`)
+  /// and installs it: metrics, memory accountant, and the transaction
+  /// manager's redo hooks. `table_ids` seeds the file's table dictionary.
+  Status OpenWalWriter(
+      uint64_t epoch, uint64_t valid_bytes,
+      const std::vector<std::pair<std::string, uint16_t>>* table_ids =
+          nullptr);
+  /// The prologue every checkpoint shares: durability open, not read-only,
+  /// no transaction open (and no background checkpoint running — a
+  /// blocking one joins it, a background one is rejected); commits the
+  /// pending unit, publishes an epoch boundary, and fills `*out` with it.
+  /// `reset_wal` (blocking Checkpoint) stamps epoch+1 and WAL offset 0 —
+  /// the caller resets the WAL before anything else commits; otherwise the
+  /// WAL is synced and the capture keeps its epoch and synced offset.
+  Status CaptureCheckpoint(bool reset_wal, CheckpointCapture* out);
   /// One TryHeal attempt: probe-recover into a scratch Database first (so an
   /// active fault cannot wreck the read-serving state), then rebuild this
   /// one from disk and reopen the WAL writer.
@@ -658,10 +682,17 @@ class Database {
   /// The statement-entry governance gate: cancel flag, expired deadline,
   /// hard budget / WAL watermark, then soft-budget admission.
   Status GovernanceAdmission(uint64_t deadline_ns) const;
-  /// Watchdog staleness checks (see health()); first observation of a stall
-  /// bumps the counter and records a kGovernance trace event.
-  bool FlusherStalled() const;
-  bool CheckpointStalled() const;
+  /// Watchdog staleness check for one background thread (see health()): a
+  /// `running` thread is stalled when its heartbeat is older than
+  /// watchdog_stall_windows() windows of `window_us`. The first observation
+  /// of a stall episode (latched in `*reported`) bumps `counter` and
+  /// records a kGovernance trace event named `event`.
+  bool WatchdogStalled(bool running, const std::atomic<uint64_t>& heartbeat_ns,
+                       int64_t window_us, std::atomic<bool>* reported,
+                       std::atomic<uint64_t>* counter,
+                       const char* event) const;
+  /// The group-commit period: group_commit_window_us, or 2ms when unset.
+  int GroupCommitWindowUs() const;
 
   /// Publishes a new epoch at an outermost commit boundary, then reclaims
   /// retired storage / version-buffer images no pinned reader can reach.
@@ -819,11 +850,10 @@ class Database {
   bool flusher_stop_ = false;
 
   /// At most one background checkpoint (CheckpointBackground). The writer
-  /// thread owns this state; the spawned thread writes checkpoint_status_ /
-  /// checkpoint_renamed_ before exiting and they are read after join.
+  /// thread owns this state; the spawned thread writes checkpoint_status_
+  /// before exiting and it is read after join.
   std::thread checkpoint_thread_;
   Status checkpoint_status_;
-  bool checkpoint_renamed_ = false;
   int checkpoint_slot_ = -1;
   bool checkpoint_running_ = false;
 };

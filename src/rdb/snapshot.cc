@@ -34,94 +34,11 @@ Status WriteFileDurably(Vfs* vfs, const std::string& path,
   return Status::OK();
 }
 
-/// Schema + index-definition block shared by both writers.
-void PutTableHeader(std::string* out, const Table* t) {
-  const TableSchema& schema = t->schema();
-  binio::PutString(out, schema.name());
-  binio::PutU32(out, static_cast<uint32_t>(schema.column_count()));
-  for (const ColumnDef& c : schema.columns()) {
-    binio::PutString(out, c.name);
-    binio::PutU8(out, static_cast<uint8_t>(c.type));
-  }
-}
-
-void PutTableIndexes(std::string* out, const Table* t) {
-  binio::PutU32(out, static_cast<uint32_t>(t->indexes().size()));
-  for (const auto& index : t->indexes()) {
-    binio::PutString(out, index->name());
-    binio::PutU32(out, static_cast<uint32_t>(index->column()));
-  }
-}
-
-Status PutTriggers(std::string* out,
-                   const std::vector<std::string>& trigger_sql) {
-  binio::PutU32(out, static_cast<uint32_t>(trigger_sql.size()));
-  for (const std::string& sql : trigger_sql) {
-    if (sql.empty()) {
-      return Status::Internal(
-          "trigger has no CREATE TRIGGER text to checkpoint");
-    }
-    binio::PutString(out, sql);
-  }
-  return Status::OK();
-}
-
-Status InstallSnapshot(const Database& db, Vfs* vfs, const std::string& path,
-                       const std::string& tmp_path, std::string* out,
-                       bool* renamed, uint64_t t0) {
-  binio::PutU32(out, binio::Crc32(out->data(), out->size()));
-  XUPD_RETURN_IF_ERROR(WriteFileDurably(vfs, tmp_path, *out));
-  if (int err = vfs->Rename(tmp_path, path); err != 0) {
-    return ErrnoStatus("cannot rename snapshot into place", path, err);
-  }
-  if (renamed != nullptr) *renamed = true;
-  if (int err = vfs->SyncDir(path); err != 0) {
-    return ErrnoStatus("cannot fsync snapshot directory", path, err);
-  }
-  db.metrics().GetHistogram("snapshot.write")->Record(MonotonicNanos() - t0);
-  return Status::OK();
-}
-
 }  // namespace
 
 Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
-                     const std::string& tmp_path, uint64_t epoch,
-                     uint64_t wal_offset, bool* renamed) {
-  const uint64_t t0 = MonotonicNanos();
-  if (renamed != nullptr) *renamed = false;
-  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-  binio::PutU32(&out, kSnapshotFormatVersion);
-  binio::PutU64(&out, epoch);
-  binio::PutI64(&out, db.next_id());
-  binio::PutU64(&out, wal_offset);
-
-  std::vector<const Table*> tables;
-  for (const std::string& name : db.TableNames()) {
-    const Table* t = db.FindTable(name);
-    if (t != nullptr && t->durable()) tables.push_back(t);
-  }
-  binio::PutU32(&out, static_cast<uint32_t>(tables.size()));
-  for (const Table* t : tables) {
-    PutTableHeader(&out, t);
-    // Every slot, live or tombstoned: row ids are physical addresses the
-    // WAL's redo records point at, so dead slots must keep their positions.
-    binio::PutU64(&out, t->capacity());
-    for (size_t rowid = 0; rowid < t->capacity(); ++rowid) {
-      binio::PutU8(&out, t->is_live(rowid) ? 1 : 0);
-      for (const Value& v : t->row_span(rowid)) binio::PutValue(&out, v);
-    }
-    PutTableIndexes(&out, t);
-  }
-
-  std::vector<std::string> trigger_sql;
-  for (const auto& trigger : db.triggers()) trigger_sql.push_back(trigger.sql);
-  XUPD_RETURN_IF_ERROR(PutTriggers(&out, trigger_sql));
-  return InstallSnapshot(db, vfs, path, tmp_path, &out, renamed, t0);
-}
-
-Status WriteSnapshotAsOf(const Database& db, Vfs* vfs, const std::string& path,
-                         const std::string& tmp_path,
-                         const CheckpointCapture& capture, bool* renamed) {
+                     const std::string& tmp_path,
+                     const CheckpointCapture& capture, bool* renamed) {
   const uint64_t t0 = MonotonicNanos();
   if (renamed != nullptr) *renamed = false;
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
@@ -133,29 +50,57 @@ Status WriteSnapshotAsOf(const Database& db, Vfs* vfs, const std::string& path,
   binio::PutU32(&out, static_cast<uint32_t>(capture.tables.size()));
   Row staging;
   for (const auto& [t, slot_count] : capture.tables) {
-    PutTableHeader(&out, t);
-    const size_t arity = t->arity();
-    // Exactly the slot count captured at the pin boundary: slots appended
-    // later are covered by WAL replay past capture.wal_offset, whose
-    // insert records assume rowid == slot count at this point.
+    const TableSchema& schema = t->schema();
+    binio::PutString(&out, schema.name());
+    binio::PutU32(&out, static_cast<uint32_t>(schema.column_count()));
+    for (const ColumnDef& c : schema.columns()) {
+      binio::PutString(&out, c.name);
+      binio::PutU8(&out, static_cast<uint8_t>(c.type));
+    }
+    // Every slot, live or tombstoned, with its cells: row ids are physical
+    // addresses the WAL's redo records point at, so dead slots must keep
+    // their positions. Exactly the slot count captured at the boundary:
+    // slots appended later are covered by WAL replay past
+    // capture.wal_offset, whose insert records assume rowid == slot count
+    // at this point.
     binio::PutU64(&out, static_cast<uint64_t>(slot_count));
     for (size_t rowid = 0; rowid < slot_count; ++rowid) {
-      staging.clear();
-      if (t->SnapshotReadRow(rowid, capture.pin_epoch, &staging)) {
-        binio::PutU8(&out, 1);
-        for (const Value& v : staging) binio::PutValue(&out, v);
-      } else {
-        // Dead (or never visible) at the pinned epoch: a tombstone slot.
-        // Replay never reads a dead slot's cells, so NULLs suffice.
-        binio::PutU8(&out, 0);
-        for (size_t c = 0; c < arity; ++c) binio::PutValue(&out, Value());
+      bool live = false;
+      if (!t->SnapshotReadRow(rowid, capture.pin_epoch, &staging, &live)) {
+        return Status::Internal(
+            "checkpoint: slot " + std::to_string(rowid) + " of table '" +
+            schema.name() + "' is not readable at the captured epoch");
       }
+      binio::PutU8(&out, live ? 1 : 0);
+      for (const Value& v : staging) binio::PutValue(&out, v);
     }
-    PutTableIndexes(&out, t);
+    binio::PutU32(&out, static_cast<uint32_t>(t->indexes().size()));
+    for (const auto& index : t->indexes()) {
+      binio::PutString(&out, index->name());
+      binio::PutU32(&out, static_cast<uint32_t>(index->column()));
+    }
   }
 
-  XUPD_RETURN_IF_ERROR(PutTriggers(&out, capture.trigger_sql));
-  return InstallSnapshot(db, vfs, path, tmp_path, &out, renamed, t0);
+  binio::PutU32(&out, static_cast<uint32_t>(capture.trigger_sql.size()));
+  for (const std::string& sql : capture.trigger_sql) {
+    if (sql.empty()) {
+      return Status::Internal(
+          "trigger has no CREATE TRIGGER text to checkpoint");
+    }
+    binio::PutString(&out, sql);
+  }
+
+  binio::PutU32(&out, binio::Crc32(out.data(), out.size()));
+  XUPD_RETURN_IF_ERROR(WriteFileDurably(vfs, tmp_path, out));
+  if (int err = vfs->Rename(tmp_path, path); err != 0) {
+    return ErrnoStatus("cannot rename snapshot into place", path, err);
+  }
+  if (renamed != nullptr) *renamed = true;
+  if (int err = vfs->SyncDir(path); err != 0) {
+    return ErrnoStatus("cannot fsync snapshot directory", path, err);
+  }
+  db.metrics().GetHistogram("snapshot.write")->Record(MonotonicNanos() - t0);
+  return Status::OK();
 }
 
 Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,

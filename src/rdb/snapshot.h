@@ -1,9 +1,12 @@
-// Snapshot checkpoints: the full durable state of a Database serialized to
-// one versioned binary file.
+// Snapshot checkpoints: the durable state of a Database at one captured
+// commit boundary, serialized to one versioned binary file. Both checkpoint
+// kinds (blocking Checkpoint, off-thread CheckpointBackground) capture a
+// CheckpointCapture and hand it to the one serializer, WriteSnapshot.
 //
 // A snapshot captures everything WAL replay needs a base for: the catalog of
-// durable tables (schemas, every row slot including tombstones — row ids are
-// physical WAL addresses, so dead slots keep their positions), hash-index
+// durable tables (schemas, every row slot including tombstones and their
+// cells — row ids are physical WAL addresses, so dead slots keep their
+// positions), hash-index
 // definitions (contents are rebuilt from live rows on load), trigger
 // definitions (as their original CREATE TRIGGER text), and the next-id
 // counter. Ephemeral tables (engine scratch created through the direct
@@ -40,47 +43,43 @@ namespace xupd::rdb {
 class Database;
 class Table;
 
-/// Serializes `db`'s durable state with the given epoch, atomically
-/// replacing whatever snapshot `path` held (via `tmp_path` + rename).
-/// `wal_offset` records how far into the (same-epoch) WAL the snapshot
-/// already incorporates: replay resumes applying after that byte offset.
-/// Synchronous checkpoints truncate the WAL and pass 0.
-/// `*renamed` (optional) reports whether the rename went through — on
-/// failure it tells the caller whether the new-epoch snapshot is already
-/// visible (the caller must then fail-stop its old-epoch WAL) or the old
-/// state is still fully intact (safe to retry later).
-Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
-                     const std::string& tmp_path, uint64_t epoch,
-                     uint64_t wal_offset = 0, bool* renamed = nullptr);
-
-/// Everything an off-thread checkpoint needs, captured by the writer at one
-/// commit boundary: the pinned epoch whose row images the background thread
-/// serializes, the matching next-id counter and committed WAL byte offset,
-/// the snapshot-file epoch to stamp, and the exact slot count per durable
-/// table at the capture instant. The writer keeps committing while the
-/// background thread walks rows through Table::SnapshotReadRow at
-/// `pin_epoch`; slots appended after the capture live past `wal_offset` in
+/// One checkpoint's commit boundary, captured by the writer thread
+/// (Database::CaptureCheckpoint): the epoch whose row images the serializer
+/// reads, the matching next-id counter, the snapshot-header epoch and WAL
+/// offset, the exact slot count per durable table, and the trigger texts.
+/// A blocking checkpoint serializes it inline and then resets the WAL; a
+/// background one serializes it on its own thread while the writer keeps
+/// committing — slots appended after the capture live past `wal_offset` in
 /// the WAL, so serializing exactly the captured counts keeps replay's
 /// append-only rowid invariant aligned.
 struct CheckpointCapture {
   uint64_t pin_epoch = 0;
   int64_t next_id = 0;
+  /// WAL bytes the snapshot already folds in: replay resumes after this
+  /// offset. 0 when the checkpoint resets the WAL.
   uint64_t wal_offset = 0;
-  uint64_t epoch = 0;  // snapshot-header epoch (unchanged: WAL is kept).
+  /// Snapshot-header epoch: the WAL's epoch + 1 when the checkpoint resets
+  /// the WAL, the WAL's own epoch when it keeps it.
+  uint64_t epoch = 0;
   std::vector<std::pair<const Table*, size_t>> tables;  // (table, slot count)
   std::vector<std::string> trigger_sql;
 };
 
-/// Off-thread variant of WriteSnapshot: serializes the state as of
-/// `capture` (a consistent MVCC snapshot at capture.pin_epoch) while the
-/// writer thread continues to commit. Slots not visible at the pinned epoch
-/// are written as tombstones with NULL cells — replay never reads a dead
-/// slot's values. The caller must keep the captured tables alive (shared
-/// catalog lock) and the pin held until this returns.
-Status WriteSnapshotAsOf(const Database& db, Vfs* vfs, const std::string& path,
-                         const std::string& tmp_path,
-                         const CheckpointCapture& capture,
-                         bool* renamed = nullptr);
+/// Serializes the state as of `capture`, atomically replacing whatever
+/// snapshot `path` held (via `tmp_path` + rename). Every captured slot is
+/// read through Table::SnapshotReadRow at capture.pin_epoch — live and dead
+/// alike, so a recovered table has the exact slot image that was
+/// checkpointed, tombstone cells included. Off the writer thread the caller
+/// must keep the captured tables alive (shared catalog lock) and the epoch
+/// pinned until this returns. `*renamed` (optional) reports whether the
+/// rename went through — on failure it tells the caller whether the new
+/// snapshot is already visible (a blocking checkpoint must then fail-stop
+/// its old-epoch WAL) or the old state is still fully intact (safe to retry
+/// later).
+Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
+                     const std::string& tmp_path,
+                     const CheckpointCapture& capture,
+                     bool* renamed = nullptr);
 
 /// What LoadSnapshot recovered from the snapshot header.
 struct SnapshotLoadInfo {

@@ -449,20 +449,30 @@ void Table::UndoSetColumn(size_t rowid, int column, const Value& v) {
   Value(v).RacyPublishTo(&cell);
 }
 
-bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out) const {
+bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
+                            bool* live) const {
   out->clear();
   for (int attempt = 0;; ++attempt) {
     // Visibility first: the begin/end pair is one untorn word, and during
-    // slot reuse (pop + re-insert) every transient value of `begin`
-    // exceeds any pinned epoch, so an invisible row is rejected without
-    // ever touching its cells. Acquire on the buffer pointer: a grow
-    // publishes the memcpy'd rows via the release store of `cells_`, and
-    // this load may observe a buffer newer than the one `filled_`'s
-    // acquire synchronized with.
+    // slot reuse (pop + re-insert) every transient value of `begin` is 0
+    // (meta mid-construction) or exceeds any pinned epoch, so an unborn row
+    // is rejected without ever touching its cells. A row born and ended at
+    // or before the pin is dead for good — its cells and mod word are
+    // final — so a caller asking for dead slots copies it through the same
+    // seqlock path. Acquire on the buffer pointer: a grow publishes the
+    // memcpy'd rows via the release store of `cells_`, and this load may
+    // observe a buffer newer than the one `filled_`'s acquire synchronized
+    // with.
     const Value* cells = cells_.load(std::memory_order_acquire);
     const Value* slot = cells + rowid * stride_;
     RowMetaRef m(slot + arity_);
-    if (!RowMetaRef::Visible(m.begin_end(), pin)) return false;
+    const uint64_t begin_end = m.begin_end();
+    const uint32_t begin = RowMetaRef::Begin(begin_end);
+    const bool visible = RowMetaRef::Visible(begin_end, pin);
+    if (!visible && (live == nullptr || begin == 0 || begin > pin)) {
+      return false;
+    }
+    if (live != nullptr) *live = visible;
     const uint64_t m1 = m.mod_acquire();
     if (m1 <= pin) {
       // Optimistic seqlock copy: raw word loads, fence, revalidate, and

@@ -305,10 +305,15 @@ class Table {
   }
 
   /// Copies the version of row `rowid` visible at epoch `pin` into `out`
-  /// (exactly arity() values, appended). Returns false when no version of
-  /// the row is visible at that epoch. `rowid` must be < a prior
-  /// SnapshotRowCount() result. Thread-safe against every writer mutation.
-  bool SnapshotReadRow(size_t rowid, uint64_t pin, Row* out) const;
+  /// (cleared, then exactly arity() values). Returns false when no version
+  /// of the row is visible at that epoch. With `live` non-null, a slot that
+  /// was already dead at `pin` is copied too — its cells are never written
+  /// again (no compaction, no reuse of a committed tombstone) — and `*live`
+  /// reports the slot's liveness; false then only means the slot was not
+  /// yet born at `pin`. `rowid` must be < a prior SnapshotRowCount()
+  /// result. Thread-safe against every writer mutation.
+  bool SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
+                       bool* live = nullptr) const;
 
   size_t arity() const { return arity_; }
 

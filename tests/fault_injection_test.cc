@@ -10,12 +10,7 @@
 // mode contract, stale snapshot.tmp cleanup, and SQL CHECK INTEGRITY.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,41 +31,11 @@ using engine::RelationalStore;
 using rdb::FaultVfs;
 using FaultKind = rdb::FaultVfs::FaultKind;
 using xupd::testing::DumpDurableState;
+using xupd::testing::TempDir;
+using xupd::testing::WriteFile;
 
 // ---------------------------------------------------------------------------
-// Helpers (mirrors recovery_test.cc — each test binary is self-contained)
-
-/// A scratch data directory, removed (with its contents) on destruction.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/xupd_fault_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path_ = p == nullptr ? "/tmp/xupd_fault_fallback" : p;
-  }
-  ~TempDir() {
-    DIR* d = ::opendir(path_.c_str());
-    if (d != nullptr) {
-      while (dirent* e = ::readdir(d)) {
-        std::string name = e->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-void WriteFile(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
+// Helpers
 
 bool IsBoundaryState(const std::string& got,
                      const std::vector<std::string>& states) {
@@ -90,9 +55,11 @@ rdb::DurabilityOptions FaultOptions(FaultVfs* fault) {
 }
 
 /// The fault-matrix workload: DDL, autocommit DML, a committed transaction,
-/// update/delete, a checkpoint, and a rolled-back transaction — every WAL
-/// and snapshot code path a fig. 6/10 run exercises. "@checkpoint" marks a
-/// Database::Checkpoint() call.
+/// update/delete, a checkpoint, a rolled-back transaction, and a background
+/// checkpoint over a fresh tombstone — every WAL and snapshot code path a
+/// fig. 6/10 run exercises. "@checkpoint" marks a Database::Checkpoint()
+/// call; "@checkpoint_background" a CheckpointBackground() joined by
+/// CheckpointWait().
 const std::vector<std::string>& WorkloadSteps() {
   static const std::vector<std::string> steps = {
       "CREATE TABLE t (id INTEGER, name VARCHAR)",
@@ -110,8 +77,20 @@ const std::vector<std::string>& WorkloadSteps() {
       "INSERT INTO t VALUES (7, 'g')",
       "ROLLBACK",
       "INSERT INTO t VALUES (8, 'h')",
+      "DELETE FROM t WHERE id = 4",
+      "@checkpoint_background",
+      "INSERT INTO t VALUES (9, 'i')",
   };
   return steps;
+}
+
+Status RunStep(rdb::Database* db, const std::string& step) {
+  if (step == "@checkpoint") return db->Checkpoint();
+  if (step == "@checkpoint_background") {
+    XUPD_RETURN_IF_ERROR(db->CheckpointBackground());
+    return db->CheckpointWait();
+  }
+  return db->Execute(step);
 }
 
 /// Runs the workload, stopping at the first error. When `states` is given,
@@ -120,7 +99,7 @@ const std::vector<std::string>& WorkloadSteps() {
 Status RunWorkload(rdb::Database* db, std::vector<std::string>* states) {
   if (states != nullptr) states->push_back(DumpDurableState(*db));
   for (const std::string& step : WorkloadSteps()) {
-    Status s = step == "@checkpoint" ? db->Checkpoint() : db->Execute(step);
+    Status s = RunStep(db, step);
     if (!s.ok()) return s;
     if (states != nullptr && !db->in_transaction()) {
       states->push_back(DumpDurableState(*db));

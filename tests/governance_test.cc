@@ -11,12 +11,8 @@
 // (mirroring the fault-injection matrix of fault_injection_test.cc).
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -41,37 +37,10 @@ using rdb::FaultVfs;
 using rdb::MemoryAccountant;
 using FaultKind = rdb::FaultVfs::FaultKind;
 using xupd::testing::DumpDurableState;
+using xupd::testing::TempDir;
 
 // ---------------------------------------------------------------------------
-// Helpers (mirrors fault_injection_test.cc — each test binary is
-// self-contained)
-
-/// A scratch data directory, removed (with its contents) on destruction.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/xupd_gov_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path_ = p == nullptr ? "/tmp/xupd_gov_fallback" : p;
-  }
-  ~TempDir() {
-    DIR* d = ::opendir(path_.c_str());
-    if (d != nullptr) {
-      while (dirent* e = ::readdir(d)) {
-        std::string name = e->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+// Helpers
 
 /// The cancellation matrix checks EVERY pull, so a small doc suffices; the
 /// budget/deadline tests only poll at every 64th pull and need enough rows

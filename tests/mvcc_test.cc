@@ -5,11 +5,7 @@
 // contract. The reader/writer stress cases double as the TSan smoke target.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,33 +23,8 @@ namespace {
 using engine::DeleteStrategy;
 using engine::InsertStrategy;
 using engine::RelationalStore;
-
-/// A scratch data directory, removed (with its contents) on destruction.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/xupd_mvcc_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path_ = p == nullptr ? "/tmp/xupd_mvcc_fallback" : p;
-  }
-  ~TempDir() {
-    DIR* d = ::opendir(path_.c_str());
-    if (d != nullptr) {
-      while (dirent* e = ::readdir(d)) {
-        std::string name = e->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using xupd::testing::DumpDurableState;
+using xupd::testing::TempDir;
 
 void Must(rdb::Database* db, const std::string& sql) {
   Status s = db->Execute(sql);
@@ -378,6 +349,38 @@ TEST(MvccTest, BackgroundCheckpointConcurrentWithCommits) {
   EXPECT_TRUE(db2.recovered());
   EXPECT_EQ(WriterCount(&db2, "SELECT COUNT(*) FROM t"), 90);
   EXPECT_EQ(WriterCount(&db2, "SELECT SUM(id) FROM t"), 90 * 89 / 2);
+}
+
+TEST(MvccTest, BackgroundCheckpointKeepsTombstoneCellsWhileWriterChurns) {
+  TempDir dir;
+  std::string expected;
+  {
+    rdb::Database db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    Must(&db, "CREATE TABLE t (id INTEGER, name VARCHAR)");
+    for (int i = 0; i < 200; ++i) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) +
+                    ", 'heap-allocated payload #" + std::to_string(i) + "')");
+    }
+    Must(&db, "DELETE FROM t WHERE id < 100");
+    ASSERT_TRUE(db.CheckpointBackground().ok());
+    // While the checkpoint thread copies the captured slots — the dead ones
+    // included — the writer tombstones, rewrites and appends more.
+    for (int i = 100; i < 150; ++i) {
+      Must(&db, "DELETE FROM t WHERE id = " + std::to_string(i));
+      Must(&db, "UPDATE t SET name = 'rewritten after the capture' WHERE id = " +
+                    std::to_string(i + 50));
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(i + 200) +
+                    ", 'appended after the capture')");
+    }
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    expected = DumpDurableState(db);
+  }
+  // Snapshot slots (tombstone cells included) + the WAL suffix past its
+  // offset rebuild every slot exactly.
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
 }
 
 TEST(MvccTest, BackgroundCheckpointSnapshotExcludesLaterCommits) {

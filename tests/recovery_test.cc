@@ -8,12 +8,7 @@
 // state — element tables, hash indexes, tombstones, next-id and the ASR.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -33,47 +28,9 @@ using engine::DeleteStrategy;
 using engine::InsertStrategy;
 using engine::RelationalStore;
 using xupd::testing::DumpDurableState;
-
-// ---------------------------------------------------------------------------
-// Helpers
-
-/// A scratch data directory, removed (with its contents) on destruction.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/xupd_recovery_XXXXXX";
-    char* p = ::mkdtemp(tmpl);
-    EXPECT_NE(p, nullptr);
-    path_ = p == nullptr ? "/tmp/xupd_recovery_fallback" : p;
-  }
-  ~TempDir() {
-    DIR* d = ::opendir(path_.c_str());
-    if (d != nullptr) {
-      while (dirent* e = ::readdir(d)) {
-        std::string name = e->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFile(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-}
+using xupd::testing::ReadFile;
+using xupd::testing::TempDir;
+using xupd::testing::WriteFile;
 
 // ---------------------------------------------------------------------------
 // rdb layer: WAL unit semantics
@@ -272,6 +229,55 @@ TEST_F(RdbRecoveryTest, CheckpointInsideTransactionIsRejected) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   Must(&db, "COMMIT");
   EXPECT_TRUE(db.Checkpoint().ok());
+}
+
+TEST_F(RdbRecoveryTest, BackgroundCheckpointRecoversTombstoneCells) {
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db,
+         "INSERT INTO t VALUES (1, 'a'), "
+         "(2, 'a tombstone keeps this heap-allocated cell'), (3, 'c')");
+    Must(&db, "DELETE FROM t WHERE id = 2");
+    ASSERT_TRUE(db.CheckpointBackground().ok());
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    expected = DumpDurableState(db);
+  }
+  ASSERT_NE(expected.find("dead 2|a tombstone keeps this heap-allocated cell|"),
+            std::string::npos)
+      << expected;
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  // Everything comes from the snapshot: the WAL holds nothing past the
+  // offset it recorded.
+  EXPECT_EQ(db2.stats().recovery_replayed, 0u);
+  EXPECT_EQ(DumpDurableState(db2), expected);
+}
+
+TEST_F(RdbRecoveryTest, BlockingCheckpointTakesNoReaderSlot) {
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db, "INSERT INTO t VALUES (1, 'a'), (2, 'b')");
+    Must(&db, "DELETE FROM t WHERE id = 1");
+    std::vector<std::unique_ptr<rdb::ReaderSession>> sessions;
+    for (int i = 0; i < rdb::EpochManager::kMaxReaders; ++i) {
+      auto session = db.OpenReaderSession();
+      ASSERT_TRUE(session.ok()) << "slot " << i << ": " << session.status();
+      sessions.push_back(std::move(session).value());
+    }
+    // A background checkpoint pins its epoch like a reader and finds no
+    // slot; the blocking one serializes on the writer thread and needs none.
+    EXPECT_EQ(db.CheckpointBackground().code(), StatusCode::kUnavailable);
+    ASSERT_TRUE(db.Checkpoint().ok());
+    Must(&db, "INSERT INTO t VALUES (3, 'c')");
+    expected = DumpDurableState(db);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
 }
 
 TEST_F(RdbRecoveryTest, AutocommitStatementsPersistWithoutExplicitTxn) {

@@ -1,7 +1,15 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
+#include <dirent.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "rdb/database.h"
 
@@ -112,6 +120,37 @@ xml::Dtd MustParseDtd(const std::string& text) {
     std::abort();
   }
   return std::move(dtd).value();
+}
+
+TempDir::TempDir() {
+  char tmpl[] = "/tmp/xupd_test_XXXXXX";
+  char* p = ::mkdtemp(tmpl);
+  EXPECT_NE(p, nullptr);
+  path_ = p == nullptr ? "/tmp/xupd_test_fallback" : p;
+}
+
+TempDir::~TempDir() {
+  DIR* d = ::opendir(path_.c_str());
+  if (d != nullptr) {
+    while (dirent* e = ::readdir(d)) {
+      std::string name = e->d_name;
+      if (name == "." || name == "..") continue;
+      std::remove((path_ + "/" + name).c_str());
+    }
+    ::closedir(d);
+  }
+  ::rmdir(path_.c_str());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
 std::string DumpDurableState(const rdb::Database& db) {

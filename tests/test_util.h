@@ -35,6 +35,25 @@ std::unique_ptr<xml::Document> MustParse(const std::string& text);
 /// Parses a DTD or aborts.
 xml::Dtd MustParseDtd(const std::string& text);
 
+/// A scratch data directory under /tmp, removed (with its contents) on
+/// destruction.
+class TempDir {
+ public:
+  TempDir();
+  ~TempDir();
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Whole-file binary read ("" when the file is missing) and truncating
+/// write, for tests that inspect or corrupt on-disk state directly.
+std::string ReadFile(const std::string& path);
+void WriteFile(const std::string& path, const std::string& data);
+
 /// Renders the full durable state of a database — every durable table's
 /// schema, every row slot (with liveness), index definitions, and the
 /// next-id counter — as one comparable string.
