@@ -20,10 +20,6 @@
 
 namespace xupd::bench {
 
-struct HarnessOptions {
-  int runs = 5;  ///< total runs; first discarded.
-};
-
 /// Percentile summary of an engine latency histogram (samples are
 /// nanoseconds; reported in microseconds for bench JSON rows).
 struct LatencySummary {
@@ -44,22 +40,28 @@ inline LatencySummary Summarize(const Histogram& h) {
   return s;
 }
 
-/// Per-point measurement: the paper-protocol average plus percentiles of
-/// the counted runs' wall times (a Histogram over per-run ns), so JSON rows
-/// can carry median/tail columns instead of a single noise-prone average.
-/// Converts to double as the average — the paper-figure series stay as
-/// before; new columns read the percentiles explicitly.
+/// Per-point measurement under the paper protocol: the counted runs' wall
+/// times, as an average plus a per-run histogram so JSON rows can carry
+/// median/tail columns. Zero counted runs average 0, never NaN.
 struct MeasuredRuns {
-  double avg_seconds = 0;
+  double total_seconds = 0;
   Histogram run_ns;  ///< one sample per counted run.
-  operator double() const { return avg_seconds; }
-  double median_seconds() const { return run_ns.Percentile(50) / 1e9; }
-  double p99_seconds() const { return run_ns.Percentile(99) / 1e9; }
+  void Add(double seconds) {
+    total_seconds += seconds;
+    run_ns.Record(static_cast<uint64_t>(seconds * 1e9));
+  }
+  double avg_seconds() const {
+    return run_ns.count() > 0
+               ? total_seconds / static_cast<double>(run_ns.count())
+               : 0.0;
+  }
 };
 
 /// Peak resident set size of this process so far, in KiB (ru_maxrss is KiB
 /// on Linux). Emitted into bench JSON rows so memory regressions of the
-/// storage layer are as visible as time regressions.
+/// storage layer are as visible as time regressions. It is the process
+/// high-water mark: a binary that runs several experiments in one process
+/// (`bench_paper all`) carries each experiment's peak into the next.
 inline long PeakRssKb() {
   struct rusage ru;
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
@@ -96,63 +98,21 @@ inline std::unique_ptr<engine::RelationalStore> FreshStore(
   return std::move(store).value();
 }
 
-/// Builds a fresh store of the given strategies over `gen` and loads it.
-inline std::unique_ptr<engine::RelationalStore> FreshStore(
-    const workload::GeneratedDoc& gen, engine::DeleteStrategy del,
-    engine::InsertStrategy ins) {
-  engine::RelationalStore::Options options;
-  options.delete_strategy = del;
-  options.insert_strategy = ins;
-  return FreshStore(gen, options);
-}
-
-/// Measures `op` on fresh stores built with explicit options: `runs`
-/// executions, first discarded, returns the average seconds plus a per-run
-/// latency histogram (see MeasuredRuns).
+/// Measures `op` on fresh stores built with `store_options`: `runs`
+/// executions, the first discarded; loading is not timed.
 inline MeasuredRuns MeasureOnFreshStores(
     const workload::GeneratedDoc& gen,
     const engine::RelationalStore::Options& store_options,
-    const std::function<void(engine::RelationalStore*)>& op,
-    const HarnessOptions& options = {}) {
+    const std::function<void(engine::RelationalStore*)>& op, int runs) {
   MeasuredRuns out;
-  double total = 0;
-  int counted = 0;
-  for (int r = 0; r < options.runs; ++r) {
+  for (int r = 0; r < runs; ++r) {
     auto store = FreshStore(gen, store_options);
     Stopwatch sw;
     op(store.get());
     double t = sw.ElapsedSeconds();
-    if (r > 0) {
-      total += t;
-      ++counted;
-      out.run_ns.Record(static_cast<uint64_t>(t * 1e9));
-    }
+    if (r > 0) out.Add(t);
   }
-  out.avg_seconds = counted > 0 ? total / counted : 0.0;
   return out;
-}
-
-/// Measures `op` on fresh stores: `runs` executions, first discarded,
-/// returns the average seconds plus a per-run latency histogram.
-inline MeasuredRuns MeasureOnFreshStores(
-    const workload::GeneratedDoc& gen, engine::DeleteStrategy del,
-    engine::InsertStrategy ins,
-    const std::function<void(engine::RelationalStore*)>& op,
-    const HarnessOptions& options = {}) {
-  engine::RelationalStore::Options store_options;
-  store_options.delete_strategy = del;
-  store_options.insert_strategy = ins;
-  return MeasureOnFreshStores(gen, store_options, op, options);
-}
-
-/// Prints one series point in a gnuplot-friendly layout.
-inline void PrintHeader(const std::string& title, const std::string& x_name) {
-  std::printf("# %s\n", title.c_str());
-  std::printf("%-12s %8s %12s\n", "method", x_name.c_str(), "time_sec");
-}
-
-inline void PrintPoint(const std::string& method, long x, double seconds) {
-  std::printf("%-12s %8ld %12.6f\n", method.c_str(), x, seconds);
 }
 
 /// Selects `n` deterministic "random" subtree ids from the given list.

@@ -572,7 +572,8 @@ Status WalWriter::Close() {
 
 namespace {
 
-/// One decoded data record held until its unit's commit frame arrives.
+/// One decoded frame; data records are held until their unit's commit
+/// frame arrives.
 struct PendingRecord {
   RecordKind kind = RecordKind::kInsert;
   std::string table;
@@ -580,7 +581,106 @@ struct PendingRecord {
   uint32_t column = 0;
   Row values;    ///< kInsert row / kUpdate single value at [0].
   std::string sql;  ///< kDdl.
+  int64_t next_id = 0;  ///< kCommit.
 };
+
+/// Decodes the frames of a WAL body in file order. This is the one place
+/// that decides where the log ends: a partial frame header, a frame running
+/// past EOF, a CRC mismatch, an unknown record kind and a payload that does
+/// not decode all end it, the way a crash-torn tail would. Replay applies
+/// what it decodes; the integrity scrub only walks it, so both agree on
+/// the last commit boundary.
+///
+/// Table-def frames feed a per-file dictionary: each data record resolves
+/// its u16 table id through it (a def always precedes its first use in the
+/// same or an earlier unit).
+class FrameDecoder {
+ public:
+  explicit FrameDecoder(const std::string& data) : data_(data) {}
+
+  /// Decodes the frame at pos() into `*rec` and moves past it. Returns
+  /// false at the end of the log. A record that references a table id no
+  /// def introduced is an error: no crash produces one.
+  Result<bool> Next(PendingRecord* rec);
+
+  /// Offset just past the last decoded frame.
+  size_t pos() const { return pos_; }
+  /// Table defs decoded so far, in frame order.
+  std::vector<std::pair<std::string, uint16_t>>& defs() { return defs_; }
+
+ private:
+  const std::string& data_;
+  size_t pos_ = kWalHeaderSize;
+  std::vector<std::pair<std::string, uint16_t>> defs_;
+  std::unordered_map<uint16_t, std::string> id_names_;
+};
+
+Result<bool> FrameDecoder::Next(PendingRecord* rec) {
+  if (pos_ + 8 > data_.size()) return false;
+  binio::Reader frame(data_.data() + pos_, 8);
+  uint32_t len = frame.U32();
+  uint32_t crc = frame.U32();
+  if (len > kMaxFramePayload || pos_ + 8 + len > data_.size()) return false;
+  const char* payload = data_.data() + pos_ + 8;
+  if (binio::Crc32(payload, len) != crc) return false;
+  binio::Reader r(payload, len);
+  *rec = PendingRecord{};
+  rec->kind = static_cast<RecordKind>(r.U8());
+  uint16_t tid = 0;
+  bool names_table = false;
+  switch (rec->kind) {
+    case RecordKind::kTableDef: {
+      uint16_t id = r.U16();
+      std::string name = r.String();
+      if (!r.ok()) return false;
+      id_names_[id] = name;
+      defs_.emplace_back(std::move(name), id);
+      break;
+    }
+    case RecordKind::kInsert: {
+      tid = r.U16();
+      rec->rowid = r.U64();
+      uint32_t n = r.U32();
+      for (uint32_t i = 0; r.ok() && i < n; ++i) {
+        rec->values.push_back(r.ReadValue());
+      }
+      names_table = true;
+      break;
+    }
+    case RecordKind::kDelete:
+      tid = r.U16();
+      rec->rowid = r.U64();
+      names_table = true;
+      break;
+    case RecordKind::kUpdate:
+      tid = r.U16();
+      rec->rowid = r.U64();
+      rec->column = r.U32();
+      rec->values.push_back(r.ReadValue());
+      names_table = true;
+      break;
+    case RecordKind::kDdl:
+      rec->sql = r.String();
+      break;
+    case RecordKind::kCommit:
+      rec->next_id = r.I64();
+      break;
+    default:
+      return false;  // unknown kind: treat like a torn frame.
+  }
+  if (!r.ok()) return false;
+  if (names_table) {
+    auto it = id_names_.find(tid);
+    if (it == id_names_.end()) {
+      return Status::Internal(
+          "WAL replay: record references undefined table id " +
+          std::to_string(tid));
+    }
+    rec->table = it->second;
+  }
+  pos_ += 8 + len;
+  return true;
+}
 
 Status ApplyRecord(Database* db, const PendingRecord& rec) {
   if (rec.kind == RecordKind::kDdl) {
@@ -663,94 +763,16 @@ Result<WalReplayResult> ReplayWal(Database* db, Vfs* vfs,
   WalReplayResult out;
   out.valid_bytes = kWalHeaderSize;
   std::vector<PendingRecord> unit;
-  // Per-file table-name dictionary: defs decode into `defs` in frame order;
-  // data records resolve ids through it immediately (a def always precedes
-  // its first use in the same or an earlier unit). Only the defs seen
-  // before the last commit marker are handed to the resuming writer —
-  // later ones die with their uncommitted unit.
-  std::vector<std::pair<std::string, uint16_t>> defs;
-  std::unordered_map<uint16_t, std::string> id_names;
+  // Only the defs seen before the last commit marker are handed to the
+  // resuming writer — later ones die with their uncommitted unit.
+  FrameDecoder frames(data);
   size_t committed_defs = 0;
-  size_t pos = kWalHeaderSize;
-  while (pos + 8 <= data.size()) {
-    binio::Reader frame(data.data() + pos, 8);
-    uint32_t len = frame.U32();
-    uint32_t crc = frame.U32();
-    if (len > kMaxFramePayload || pos + 8 + len > data.size()) break;  // torn.
-    const char* payload = data.data() + pos + 8;
-    if (binio::Crc32(payload, len) != crc) break;  // corrupt: end of log.
-    binio::Reader r(payload, len);
-    PendingRecord rec;
-    rec.kind = static_cast<RecordKind>(r.U8());
-    bool end_of_log = false;
-    bool is_def = false;
-    int64_t commit_next_id = 0;
-    auto resolve_table = [&](uint16_t id) -> bool {
-      auto it = id_names.find(id);
-      if (it == id_names.end()) return false;
-      rec.table = it->second;
-      return true;
-    };
-    switch (rec.kind) {
-      case RecordKind::kTableDef: {
-        uint16_t id = r.U16();
-        std::string name = r.String();
-        if (!r.ok()) break;
-        id_names[id] = name;
-        defs.emplace_back(std::move(name), id);
-        is_def = true;
-        break;
-      }
-      case RecordKind::kInsert: {
-        uint16_t tid = r.U16();
-        rec.rowid = r.U64();
-        uint32_t n = r.U32();
-        for (uint32_t i = 0; r.ok() && i < n; ++i) {
-          rec.values.push_back(r.ReadValue());
-        }
-        if (r.ok() && !resolve_table(tid)) {
-          return Status::Internal(
-              "WAL replay: record references undefined table id " +
-              std::to_string(tid));
-        }
-        break;
-      }
-      case RecordKind::kDelete: {
-        uint16_t tid = r.U16();
-        rec.rowid = r.U64();
-        if (r.ok() && !resolve_table(tid)) {
-          return Status::Internal(
-              "WAL replay: record references undefined table id " +
-              std::to_string(tid));
-        }
-        break;
-      }
-      case RecordKind::kUpdate: {
-        uint16_t tid = r.U16();
-        rec.rowid = r.U64();
-        rec.column = r.U32();
-        rec.values.push_back(r.ReadValue());
-        if (r.ok() && !resolve_table(tid)) {
-          return Status::Internal(
-              "WAL replay: record references undefined table id " +
-              std::to_string(tid));
-        }
-        break;
-      }
-      case RecordKind::kDdl:
-        rec.sql = r.String();
-        break;
-      case RecordKind::kCommit:
-        commit_next_id = r.I64();
-        break;
-      default:
-        end_of_log = true;  // unknown kind: treat like a torn frame.
-        break;
-    }
-    if (end_of_log || !r.ok()) break;
-    pos += 8 + len;
+  PendingRecord rec;
+  while (true) {
+    XUPD_ASSIGN_OR_RETURN(bool decoded, frames.Next(&rec));
+    if (!decoded) break;
     if (rec.kind == RecordKind::kCommit) {
-      if (pos <= start_offset) {
+      if (frames.pos() <= start_offset) {
         // This unit is already folded into the snapshot (off-thread
         // checkpoint): keep the dictionary and the commit boundary but do
         // not re-apply it — and leave next_id to the snapshot's value.
@@ -761,16 +783,16 @@ Result<WalReplayResult> ReplayWal(Database* db, Vfs* vfs,
           ++out.applied_records;
         }
         unit.clear();
-        db->set_next_id(commit_next_id);
+        db->set_next_id(rec.next_id);
       }
-      out.valid_bytes = pos;
-      committed_defs = defs.size();
-    } else if (!is_def) {
+      out.valid_bytes = frames.pos();
+      committed_defs = frames.defs().size();
+    } else if (rec.kind != RecordKind::kTableDef) {
       unit.push_back(std::move(rec));
     }
   }
-  defs.resize(committed_defs);
-  out.table_ids = std::move(defs);
+  frames.defs().resize(committed_defs);
+  out.table_ids = std::move(frames.defs());
   // Records after the last commit frame (an uncommitted or torn unit) are
   // discarded; the caller truncates the file back to valid_bytes.
   return out;
@@ -821,28 +843,24 @@ std::vector<std::string> VerifyWalFile(Vfs* vfs, const std::string& path,
                          " is ahead of the expected epoch " +
                          std::to_string(expected_epoch));
   }
-  size_t pos = kWalHeaderSize;
+  // The log ends where replay ends it: the bytes beyond the last commit
+  // boundary — a torn frame, a CRC mismatch, an unknown kind, an
+  // undecodable payload — are a discardable crash artifact (e.g. the torn
+  // tail a power loss leaves when the writer's fail-stop truncate could no
+  // longer run), not corruption of anything committed. Lost committed data
+  // is caught below instead.
+  FrameDecoder frames(data);
   size_t last_boundary = kWalHeaderSize;
-  while (pos < data.size()) {
-    // Any tear — a partial frame header, a frame running past EOF, a CRC
-    // mismatch — ends the log exactly as it ends it for ReplayWal: the
-    // bytes beyond the last commit boundary are a discardable crash
-    // artifact (e.g. the torn tail a power loss leaves when the writer's
-    // fail-stop truncate could no longer run), not corruption of anything
-    // committed. Lost committed data is caught below instead.
-    if (pos + 8 > data.size()) break;
-    binio::Reader frame(data.data() + pos, 8);
-    uint32_t len = frame.U32();
-    uint32_t crc = frame.U32();
-    if (len > kMaxFramePayload || pos + 8 + len > data.size()) break;
-    const char* payload = data.data() + pos + 8;
-    if (binio::Crc32(payload, len) != crc) break;
-    if (len > 0 &&
-        static_cast<RecordKind>(static_cast<uint8_t>(payload[0])) ==
-            RecordKind::kCommit) {
-      last_boundary = pos + 8 + len;
+  PendingRecord rec;
+  while (true) {
+    Result<bool> decoded = frames.Next(&rec);
+    if (!decoded.ok()) {
+      // Replay refuses such a file outright.
+      violations.push_back(decoded.status().message());
+      return violations;
     }
-    pos += 8 + len;
+    if (!*decoded) break;
+    if (rec.kind == RecordKind::kCommit) last_boundary = frames.pos();
   }
   // The open writer knows how many bytes it durably committed; a replay of
   // this file ending short of that loses committed units. Only meaningful

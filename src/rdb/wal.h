@@ -363,11 +363,13 @@ Result<WalReplayResult> ReplayWal(Database* db, Vfs* vfs,
                                   uint64_t snapshot_epoch,
                                   uint64_t start_offset = 0);
 
-/// Integrity scrub: re-walks the WAL file's header and frame CRCs with the
-/// same tolerance as ReplayWal — a torn or CRC-failing tail is a crash
+/// Integrity scrub: checks the WAL file's header and decodes its frames with
+/// ReplayWal's decoder, without applying them, so the log ends exactly where
+/// recovery ends it — a torn, CRC-failing or undecodable tail is a crash
 /// artifact recovery discards, not a violation. What IS flagged: a corrupt
 /// header, a version mismatch, a file epoch ahead of `expected_epoch`
-/// (nothing durable could anchor it), and — when `writer_epoch`/
+/// (nothing durable could anchor it), a record naming an undefined table id
+/// (replay refuses the file), and — when `writer_epoch`/
 /// `writer_bytes` describe the open writer and the file is that writer's
 /// epoch — a last commit boundary short of `writer_bytes`, meaning committed
 /// data was lost. Returns human-readable violations (empty = clean). A

@@ -54,7 +54,10 @@ struct DblpSpec {
   int min_year = 1990, max_year = 2002;
 };
 
-/// §7.1.3 substitute for the real DBLP data (see DESIGN.md).
+/// §7.1.3 substitute for the real DBLP data: the paper's 40 MB snapshot is
+/// not shipped with the repository, so this generates a document of the
+/// same bushy, shallow shape (conferences of publications with authors and
+/// citations) at a size `spec` chooses.
 Result<GeneratedDoc> GenerateDblp(const DblpSpec& spec, uint64_t seed);
 
 /// Closed-form tuple count for a fixed synthetic doc:

@@ -205,9 +205,10 @@ Status NativeExecutor::Execute(const Statement& stmt) {
   for (const BoundOp& op : plan) {
     switch (op.kind) {
       case SubOp::Kind::kDelete:
-        // A binding deleted by an earlier tuple's operation is skipped
-        // (deleting it again would be a deleted-binding violation; see
-        // DESIGN.md on cross-tuple dedup).
+        // A binding deleted by an earlier tuple's operation is skipped:
+        // several tuples of the FOR/LET product can bind the same node, the
+        // update deletes it once, and deleting it again would be a
+        // deleted-binding violation.
         if (exec.IsDeleted(op.child)) break;
         XUPD_RETURN_IF_ERROR(exec.Delete(op.child));
         break;

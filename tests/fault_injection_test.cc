@@ -31,6 +31,7 @@ using engine::RelationalStore;
 using rdb::FaultVfs;
 using FaultKind = rdb::FaultVfs::FaultKind;
 using xupd::testing::DumpDurableState;
+using xupd::testing::MakeDoc;
 using xupd::testing::TempDir;
 using xupd::testing::WriteFile;
 
@@ -314,16 +315,6 @@ TEST(ReadOnlyModeTest, ReadsServeWritesRejectHealRestores) {
 // ---------------------------------------------------------------------------
 // Engine fault matrix: the paper's fig. 6 (bulk delete) and fig. 10 (bulk
 // copy) operations under injected faults.
-
-workload::GeneratedDoc MakeDoc() {
-  workload::SyntheticSpec spec;
-  spec.scaling_factor = 6;
-  spec.depth = 3;
-  spec.fanout = 2;
-  auto gen = workload::GenerateFixedSynthetic(spec, 42);
-  EXPECT_TRUE(gen.ok());
-  return std::move(gen).value();
-}
 
 std::unique_ptr<RelationalStore> MakeFaultStore(
     const workload::GeneratedDoc& gen, const std::string& dir,

@@ -37,24 +37,16 @@ using rdb::FaultVfs;
 using rdb::MemoryAccountant;
 using FaultKind = rdb::FaultVfs::FaultKind;
 using xupd::testing::DumpDurableState;
+using xupd::testing::MakeDoc;
 using xupd::testing::TempDir;
 
 // ---------------------------------------------------------------------------
 // Helpers
-
-/// The cancellation matrix checks EVERY pull, so a small doc suffices; the
-/// budget/deadline tests only poll at every 64th pull and need enough rows
-/// per statement for several polls to land after memory has grown, so they
-/// pass a larger scaling factor.
-workload::GeneratedDoc MakeDoc(int scaling_factor = 6) {
-  workload::SyntheticSpec spec;
-  spec.scaling_factor = scaling_factor;
-  spec.depth = 3;
-  spec.fanout = 2;
-  auto gen = workload::GenerateFixedSynthetic(spec, 42);
-  EXPECT_TRUE(gen.ok());
-  return std::move(gen).value();
-}
+//
+// The cancellation matrix checks EVERY pull, so a small MakeDoc() suffices;
+// the budget/deadline tests only poll at every 64th pull and need enough
+// rows per statement for several polls to land after memory has grown, so
+// they pass a larger scaling factor.
 
 std::unique_ptr<RelationalStore> MakeStore(const workload::GeneratedDoc& gen,
                                            const std::string& dir,

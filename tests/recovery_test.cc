@@ -17,6 +17,8 @@
 
 #include "engine/store.h"
 #include "rdb/database.h"
+#include "rdb/vfs.h"
+#include "rdb/wal.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
 #include "xml/serializer.h"
@@ -28,6 +30,7 @@ using engine::DeleteStrategy;
 using engine::InsertStrategy;
 using engine::RelationalStore;
 using xupd::testing::DumpDurableState;
+using xupd::testing::MakeDoc;
 using xupd::testing::ReadFile;
 using xupd::testing::TempDir;
 using xupd::testing::WriteFile;
@@ -529,19 +532,65 @@ TEST_F(WalCorruptionTest, StaleEpochWalIsIgnoredAfterCheckpoint) {
   EXPECT_EQ(DumpDurableState(db), expected);
 }
 
+TEST_F(WalCorruptionTest, ScrubEndsTheLogWhereReplayEndsIt) {
+  // Replay ends the log at a CRC-valid frame it cannot decode, so a commit
+  // frame behind it is lost on recovery. The scrub must agree: a writer
+  // that committed past that frame has lost data, and a record naming an
+  // undefined table makes replay refuse the file.
+  std::vector<std::string> states = BuildUnits(2);
+  const std::string path = dir_.path() + "/wal.xupd";
+  const std::string wal = ReadFile(path);
+  rdb::binio::Reader header(wal.data() + 12, 8);  // past magic + version
+  const uint64_t epoch = header.U64();
+  ASSERT_TRUE(
+      rdb::VerifyWalFile(rdb::Vfs::Default(), path, epoch, epoch, wal.size())
+          .empty());
+
+  auto frame = [](const std::string& payload) {
+    std::string out;
+    rdb::binio::PutU32(&out, static_cast<uint32_t>(payload.size()));
+    rdb::binio::PutU32(&out, rdb::binio::Crc32(payload.data(), payload.size()));
+    return out + payload;
+  };
+  std::string commit;
+  rdb::binio::PutU8(&commit, 5);  // commit record
+  rdb::binio::PutI64(&commit, 1000);
+  std::string short_insert;
+  rdb::binio::PutU8(&short_insert, 1);  // insert record, payload cut short
+  rdb::binio::PutU16(&short_insert, 0);
+  std::string undefined_table;
+  rdb::binio::PutU8(&undefined_table, 2);  // delete record
+  rdb::binio::PutU16(&undefined_table, 999);
+  rdb::binio::PutU64(&undefined_table, 0);
+  struct Case {
+    const char* name;
+    std::string payload;
+    bool replay_fails;
+  };
+  for (const Case& c : {Case{"unknown kind", std::string(1, '\x7F'), false},
+                        Case{"undecodable payload", short_insert, false},
+                        Case{"undefined table id", undefined_table, true}}) {
+    SCOPED_TRACE(c.name);
+    const std::string bad = wal + frame(c.payload) + frame(commit);
+    WriteFile(path, bad);
+    EXPECT_FALSE(
+        rdb::VerifyWalFile(rdb::Vfs::Default(), path, epoch, epoch, bad.size())
+            .empty());
+    rdb::Database db;
+    Status s = db.Open(dir_.path());
+    if (c.replay_fails) {
+      EXPECT_FALSE(s.ok());
+    } else {
+      ASSERT_TRUE(s.ok()) << s;
+      EXPECT_EQ(DumpDurableState(db), states.back());
+    }
+    WriteFile(path, wal);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine layer: reopen-identical across strategies, and the crash-injection
 // acceptance property.
-
-workload::GeneratedDoc MakeDoc() {
-  workload::SyntheticSpec spec;
-  spec.scaling_factor = 6;
-  spec.depth = 3;
-  spec.fanout = 2;
-  auto gen = workload::GenerateFixedSynthetic(spec, 42);
-  EXPECT_TRUE(gen.ok());
-  return std::move(gen).value();
-}
 
 std::unique_ptr<RelationalStore> MakeDurableStore(
     const workload::GeneratedDoc& gen, const std::string& dir,

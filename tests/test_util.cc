@@ -175,4 +175,14 @@ std::string DumpDurableState(const rdb::Database& db) {
   return out;
 }
 
+workload::GeneratedDoc MakeDoc(int scaling_factor) {
+  workload::SyntheticSpec spec;
+  spec.scaling_factor = scaling_factor;
+  spec.depth = 3;
+  spec.fanout = 2;
+  auto gen = workload::GenerateFixedSynthetic(spec, 42);
+  EXPECT_TRUE(gen.ok());
+  return std::move(gen).value();
+}
+
 }  // namespace xupd::testing

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "workload/synthetic.h"
 #include "xml/document.h"
 #include "xml/dtd.h"
 #include "xml/parser.h"
@@ -53,6 +54,10 @@ class TempDir {
 /// write, for tests that inspect or corrupt on-disk state directly.
 std::string ReadFile(const std::string& path);
 void WriteFile(const std::string& path, const std::string& data);
+
+/// The small synthetic document the durability, fault and governance
+/// matrices run on: fixed depth 3, fanout 2, seed 42.
+workload::GeneratedDoc MakeDoc(int scaling_factor = 6);
 
 /// Renders the full durable state of a database — every durable table's
 /// schema, every row slot (with liveness), index definitions, and the
