@@ -128,8 +128,8 @@ int RunTraceMode(const std::string& dir) {
   for (int r = 0; r < 4; ++r) {
     if (!db->Execute("UPDATE obs_kv SET v = v + 1").ok()) return 2;
   }
-  // Reader statements take the catalog lock shared; the pinned scan also
-  // proves the version buffer reconstructs the pre-update values.
+  // The pinned scan proves the version buffer reconstructs the pre-update
+  // values.
   auto pinned_sum = session.value()->ExecuteQuery("SELECT SUM(v) FROM obs_kv");
   if (!pinned_sum.ok()) return 2;
   Check(pinned_sum->rows[0][0].AsInt() == 0,
@@ -153,8 +153,25 @@ int RunTraceMode(const std::string& dir) {
   if (!unpinned_metrics.ok()) return 2;
   Check(MetricValue(*unpinned_metrics, "mvcc.version_gc_rows") > 0,
         "version-buffer GC fired once the pin released");
-  Check(MetricValue(*unpinned_metrics, "catalog_lock.shared_wait.count") > 0,
-        "catalog-lock shared wait histogram records acquisitions");
+  // A DROP under a pin retires the table with its catalog version; the
+  // epoch GC frees both once the pin releases.
+  if (!db->Execute("CREATE TABLE obs_drop (id INT)").ok()) return 2;
+  if (!db->Execute("INSERT INTO obs_drop VALUES (1)").ok()) return 2;
+  session.value()->PinSnapshot();
+  if (!db->Execute("DROP TABLE obs_drop").ok()) return 2;
+  if (!db->Execute("UPDATE obs_kv SET v = v + 1").ok()) return 2;
+  auto dropped_metrics = db->ExecuteQuery("SHOW METRICS");
+  if (!dropped_metrics.ok()) return 2;
+  Check(db->epochs().retired_pending() > 0,
+        "the dropped table waits for the pinned reader");
+  session.value()->Unpin();
+  if (!db->Execute("UPDATE obs_kv SET v = v + 1").ok()) return 2;
+  auto released_metrics = db->ExecuteQuery("SHOW METRICS");
+  if (!released_metrics.ok()) return 2;
+  Check(MetricValue(*released_metrics, "mvcc.slab_reclaims") >
+            MetricValue(*dropped_metrics, "mvcc.slab_reclaims"),
+        "mvcc.slab_reclaims rises once the pinned reader releases a dropped "
+        "table");
 
   // --- cross-thread spans --------------------------------------------------
   // The group-commit flusher fsyncs the batched tail within a window or

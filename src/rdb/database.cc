@@ -28,14 +28,6 @@ void SpinFor(double us, uint64_t deadline_ns = 0) {
   }
 }
 
-std::string SnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.xupd";
-}
-std::string SnapshotTmpPath(const std::string& dir) {
-  return dir + "/snapshot.tmp";
-}
-std::string WalPath(const std::string& dir) { return dir + "/wal.xupd"; }
-
 }  // namespace
 
 std::string MultiRowInsertSql(std::string_view table, size_t columns,
@@ -83,33 +75,15 @@ void Database::InitMetrics() {
   version_bytes_gauge_ = metrics_.Gauge("mvcc.version_bytes");
   version_gc_rows_ = metrics_.Counter("mvcc.version_gc_rows");
   reader_sessions_gauge_ = metrics_.Gauge("readers.sessions");
-  catalog_shared_wait_ = metrics_.GetHistogram("catalog_lock.shared_wait");
-  catalog_exclusive_wait_ =
-      metrics_.GetHistogram("catalog_lock.exclusive_wait");
   // Resource governance (PR 10): statement-kill counters, heal/watchdog
   // observability, and the mem.* gauges the accountant mirrors into.
   stmt_cancelled_ = metrics_.Counter("stmt.cancelled");
   stmt_deadline_exceeded_ = metrics_.Counter("stmt.deadline_exceeded");
   stmt_resource_exhausted_ = metrics_.Counter("stmt.resource_exhausted");
   stmt_shed_ = metrics_.Counter("stmt.shed");
-  heal_attempts_counter_ = metrics_.Counter("db.heal_attempts");
   flusher_stall_counter_ = metrics_.Counter("watchdog.flusher_stalls");
   checkpoint_stall_counter_ = metrics_.Counter("watchdog.checkpoint_stalls");
   mem_.AttachMetrics(&metrics_);
-}
-
-std::unique_lock<std::shared_mutex> Database::LockCatalogExclusive() const {
-  const uint64_t t0 = MonotonicNanos();
-  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-  catalog_exclusive_wait_->Record(MonotonicNanos() - t0);
-  return lock;
-}
-
-std::shared_lock<std::shared_mutex> Database::LockCatalogShared() const {
-  const uint64_t t0 = MonotonicNanos();
-  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-  catalog_shared_wait_->Record(MonotonicNanos() - t0);
-  return lock;
 }
 
 size_t Database::StmtKindSlot(sql::Statement::Kind kind) {
@@ -163,16 +137,25 @@ void Database::BumpCatalogVersion() {
   trigger_plans_.clear();
 }
 
+void Database::PublishCatalog(Catalog next) {
+  const Catalog* old = catalog_.exchange(new Catalog(std::move(next)),
+                                         std::memory_order_acq_rel);
+  // A statement pinned at or before the current epoch may have resolved
+  // names through `old`; only pins taken after the next boundary cannot.
+  epochs_.Retire(epochs_.current(), [old] { delete old; });
+}
+
 // ---------------------------------------------------------------------------
 // Durability
 
 Database::~Database() {
-  // Background threads first: the checkpoint thread holds raw Table* /
-  // reader-slot state, the flusher dereferences wal_.
+  // Background threads first: the checkpoint thread holds a reader slot,
+  // the flusher dereferences wal_.
   (void)CheckpointWait();
   StopFlusher();
-  // The metrics registry dies before tables_/interner_/txn_ do, and their
-  // destructors release memory charges — stop mirroring into gauges now.
+  // The metrics registry dies before the tables, interner_ and txn_ do,
+  // and their destructors release memory charges — stop mirroring into
+  // gauges now.
   mem_.AttachMetrics(nullptr);
   if (wal_ != nullptr) {
     // Clean shutdown persists pending direct-API writes; an open
@@ -180,6 +163,7 @@ Database::~Database() {
     if (!txn_.active()) (void)WalCommitUnit();
     (void)wal_->Close();
   }
+  delete catalog_.load(std::memory_order_relaxed);
   // lock_file_'s destructor releases the directory flock.
 }
 
@@ -188,7 +172,7 @@ Status Database::Open(const std::string& dir,
   if (wal_ != nullptr) {
     return Status::InvalidArgument("durability is already open");
   }
-  if (!tables_.empty() || txn_.active()) {
+  if (!catalog().empty() || txn_.active()) {
     return Status::InvalidArgument(
         "Open requires a fresh Database (no tables, no open transaction)");
   }
@@ -229,7 +213,7 @@ Status Database::Open(const std::string& dir,
   // half-loaded snapshot or half-replayed WAL must not linger as a partial
   // catalog the caller could mistake for usable in-memory state.
   auto fail = [&](Status s) {
-    tables_.clear();
+    PublishCatalog({});
     triggers_.clear();
     trigger_plans_.clear();
     next_id_ = 1;
@@ -352,9 +336,14 @@ Status Database::CaptureCheckpoint(bool reset_wal, CheckpointCapture* out) {
   out->next_id = next_id_;
   out->wal_offset = reset_wal ? 0 : wal_->file_size();
   out->epoch = reset_wal ? wal_->epoch() + 1 : wal_->epoch();
-  for (const auto& [name, table] : tables_) {
+  for (const auto& [name, table] : catalog()) {
     if (!table->durable()) continue;
-    out->tables.emplace_back(table.get(), table->SnapshotRowCount());
+    CheckpointCapture::TableImage& image = out->tables.emplace_back();
+    image.table = table.get();
+    image.slot_count = table->SnapshotRowCount();
+    for (const auto& index : table->indexes()) {
+      image.indexes.emplace_back(index->name(), index->column());
+    }
   }
   for (const auto& trigger : triggers_) out->trigger_sql.push_back(trigger.sql);
   return Status::OK();
@@ -444,7 +433,7 @@ void Database::AdvanceEpochBoundary() {
   uint64_t version_bytes = 0;
   if (epochs_.version_entries > 0) {
     uint64_t trimmed = 0;
-    for (auto& [name, table] : tables_) {
+    for (auto& [name, table] : catalog()) {
       trimmed += table->GcVersions(min_pinned);
       version_bytes += table->version_bytes();
     }
@@ -579,7 +568,8 @@ Status Database::CheckWritable(const sql::Statement& stmt) const {
 
 Status Database::ReopenFromDisk() {
   // No background work may straddle the rebuild: the checkpoint thread
-  // holds raw Table*, the flusher dereferences wal_.
+  // writes the snapshot the probe below reads, the flusher dereferences
+  // wal_.
   (void)CheckpointWait();
   // Probe first: recover the on-disk state into a scratch Database. Free
   // functions only (no Open), so the scratch never touches our flock. If
@@ -603,24 +593,19 @@ Status Database::ReopenFromDisk() {
   }
 
   // The disk state recovers cleanly — rebuild this Database from it.
-  // Dropping the catalog invalidates every cached plan via the global
-  // catalog version. The exclusive catalog lock covers only the teardown
-  // (holding it across RecoverFromDir would deadlock with
-  // CreateTableDirect's own exclusive acquisition): reader statements
-  // racing the rebuild may see a partial catalog — a documented heal-window
-  // anomaly.
+  // Publishing an empty catalog retires the old tables (statements pinned
+  // before it finish on them) and the version bump invalidates every
+  // cached plan. Recovery then publishes the tables one by one: reader
+  // statements racing the rebuild may see a partial catalog — a documented
+  // heal-window anomaly.
   {
     std::lock_guard<std::mutex> flusher_lock(flusher_mu_);
     wal_ = nullptr;
   }
   txn_.AttachWal(nullptr);
-  {
-    auto lock = LockCatalogExclusive();
-    tables_.clear();
-    triggers_.clear();
-    trigger_plans_.clear();
-    InvalidateStatementCache();
-  }
+  PublishCatalog({});
+  triggers_.clear();
+  InvalidateStatementCache();
   next_id_ = 1;
   recovered_ = false;
   // Clear the gate BEFORE replaying: snapshot load re-executes CREATE
@@ -674,7 +659,6 @@ Status Database::TryHeal(int max_attempts) {
                       static_cast<uint64_t>(backoff_ms), "heal_backoff"});
     }
     ++stats_.heal_attempts;
-    heal_attempts_counter_->fetch_add(1, std::memory_order_relaxed);
     last = ReopenFromDisk();
     if (last.ok()) return Status::OK();
   }
@@ -989,21 +973,20 @@ Result<ResultSet> Database::ExecuteQueryBound(std::string_view sql,
 
 Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
   if (read_only_ && durable) return ReadOnlyError("CREATE TABLE");
-  if (tables_.count(schema.name()) > 0) {
+  if (FindTable(schema.name()) != nullptr) {
     return Status::AlreadyExists("table '" + schema.name() + "' already exists");
   }
   std::string key = schema.name();
-  auto table = std::make_unique<Table>(std::move(schema),
+  auto table = std::make_shared<Table>(std::move(schema),
                                        durable ? &txn_ : nullptr);
   table->set_durable(durable);
   table->set_interner(&interner_);
   table->set_epoch_manager(&epochs_);
   table->set_accountant(&mem_);
   Table* raw = table.get();
-  {
-    auto lock = LockCatalogExclusive();
-    tables_.emplace(std::move(key), std::move(table));
-  }
+  Catalog next = catalog();
+  next.emplace(std::move(key), std::move(table));
+  PublishCatalog(std::move(next));
   return raw;
 }
 
@@ -1016,19 +999,22 @@ Status Database::InsertDirect(Table* table, Row row) {
 }
 
 Table* Database::FindTable(std::string_view name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  const Catalog& tables = catalog();
+  auto it = tables.find(name);
+  return it == tables.end() ? nullptr : it->second.get();
 }
 
 const Table* Database::FindTable(std::string_view name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.get();
+  const Catalog& tables = catalog();
+  auto it = tables.find(name);
+  return it == tables.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::string> Database::TableNames() const {
+  const Catalog& tables = catalog();
   std::vector<std::string> out;
-  out.reserve(tables_.size());
-  for (const auto& [key, table] : tables_) {
+  out.reserve(tables.size());
+  for (const auto& [key, table] : tables) {
     out.push_back(table->schema().name());
   }
   return out;
@@ -1097,8 +1083,9 @@ Status Database::CheckpointBackground() {
   XUPD_RETURN_IF_ERROR(CaptureCheckpoint(/*reset_wal=*/false, &capture));
   // Pin the captured boundary like a reader: the writer keeps committing
   // past it while the background thread reads the pinned epoch's view, and
-  // reclamation holds anything the pin can still reach. Pin() returns the
-  // captured epoch — only this thread advances epochs.
+  // reclamation holds anything the pin can still reach — slab buffers, and
+  // every captured table a later DROP retires. Pin() returns the captured
+  // epoch — only this thread advances epochs.
   const int slot = epochs_.AcquireSlot();
   if (slot < 0) {
     return Status::Unavailable(
@@ -1126,54 +1113,29 @@ Status Database::CheckpointBackground() {
   }
   const trace::Handoff bg_handoff = schedule_span.handoff();
 
-  // Handshake: the captured raw Table* are only safe while the background
-  // thread holds the shared catalog lock, but a shared_lock cannot be
-  // transferred across threads — so wait here until the spawned thread has
-  // acquired it. Only then can the writer run DDL again (it will block on
-  // the exclusive lock until the snapshot is written or CheckpointWait
-  // joined).
-  std::mutex ready_mu;
-  std::condition_variable ready_cv;
-  bool ready = false;
-  checkpoint_thread_ =
-      std::thread([this, capture = std::move(capture), bg_handoff, &ready_mu,
-                   &ready_cv, &ready] {
-        trace::SetCurrentThreadName("checkpoint");
-        trace::SpanScope snapshot_span{bg_handoff};
-        auto catalog_lock = LockCatalogShared();
-        {
-          // Notify under the mutex: the waiter must re-acquire it to return
-          // from wait(), so it cannot destroy the stack-local cv while the
-          // signal call is still touching it.
-          std::lock_guard<std::mutex> lk(ready_mu);
-          ready = true;
-          ready_cv.notify_one();
-        }
-        // The stack locals above are dead after the unlock; everything
-        // below uses only owned/captured state.
-        const uint64_t t0 = MonotonicNanos();
-        checkpoint_heartbeat_ns_.store(t0, std::memory_order_release);
-        Status s = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
-                                 SnapshotTmpPath(data_dir_), capture);
-        checkpoint_heartbeat_ns_.store(MonotonicNanos(),
-                                       std::memory_order_release);
-        checkpoint_status_ = s;
-        if (s.ok()) {
-          const uint64_t dur = MonotonicNanos() - t0;
-          metrics_.GetHistogram("db.checkpoint")->Record(dur);
-          TraceEvent ev{TraceEvent::Kind::kCheckpoint, t0, dur, 1, 0,
-                        "snapshot"};
-          snapshot_span.Annotate(&ev);
-          events_.Record(ev);
-        }
-        // Finished-but-unjoined is not a stall: the watchdog ignores the
-        // heartbeat once this flips, even before CheckpointWait runs.
-        checkpoint_done_.store(true, std::memory_order_release);
-      });
-  {
-    std::unique_lock<std::mutex> lk(ready_mu);
-    ready_cv.wait(lk, [&] { return ready; });
-  }
+  // The thread reads only the capture (its tables stay alive under the
+  // pin) and thread-safe Database state (metrics, events, heartbeats).
+  checkpoint_thread_ = std::thread([this, capture = std::move(capture),
+                                    bg_handoff] {
+    trace::SetCurrentThreadName("checkpoint");
+    trace::SpanScope snapshot_span{bg_handoff};
+    const uint64_t t0 = MonotonicNanos();
+    checkpoint_heartbeat_ns_.store(t0, std::memory_order_release);
+    Status s = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
+                             SnapshotTmpPath(data_dir_), capture);
+    checkpoint_heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
+    checkpoint_status_ = s;
+    if (s.ok()) {
+      const uint64_t dur = MonotonicNanos() - t0;
+      metrics_.GetHistogram("db.checkpoint")->Record(dur);
+      TraceEvent ev{TraceEvent::Kind::kCheckpoint, t0, dur, 1, 0, "snapshot"};
+      snapshot_span.Annotate(&ev);
+      events_.Record(ev);
+    }
+    // Finished-but-unjoined is not a stall: the watchdog ignores the
+    // heartbeat once this flips, even before CheckpointWait runs.
+    checkpoint_done_.store(true, std::memory_order_release);
+  });
   return Status::OK();
 }
 
@@ -1284,16 +1246,28 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
         std::to_string(cached.param_count));
   }
 
-  // The shared catalog lock spans plan validation AND execution, so the
-  // catalog (and every Table* the plan holds) is stable for the whole
-  // statement; row-level consistency is the pinned epoch's job.
-  auto catalog_lock = db_->LockCatalogShared();
+  // Pin before resolving any name: the pin keeps every catalog version and
+  // table this statement reaches alive until it unpins (DDL retires them
+  // through the epoch manager), and row visibility reads at it. A cached
+  // plan validated against the catalog version holds tables that are
+  // either still in the catalog or retired no earlier than this pin.
+  struct StatementPin {
+    ReaderSession* session;
+    bool owned;  ///< false inside an explicit PinSnapshot.
+    ~StatementPin() {
+      if (owned) session->Unpin();
+    }
+  } statement_pin{this, !explicit_pin_};
+  const uint64_t pin = PinSnapshot();
   std::shared_ptr<const PlannedStatement> plan;
   if (cached.plan != nullptr && cached.version == db_->catalog_version()) {
     ++stats_.plan_cache_hits;
     plan = cached.plan;
   }
   if (plan == nullptr) {
+    // Read the version first: DDL bumps it after changing the catalog, so a
+    // plan built over a newer catalog is at worst rebuilt once more.
+    const uint64_t version = db_->catalog_version();
     Planner planner(db_, nullptr);
     planner.set_allow_index_probes(false);
     auto planned = planner.Plan(*target);
@@ -1301,7 +1275,7 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
     ++stats_.plans_built;
     plan = std::move(planned).value();
     cached.plan = plan;
-    cached.version = db_->catalog_version();
+    cached.version = version;
   }
   if (explain) {
     ResultSet out;
@@ -1312,13 +1286,6 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
     return out;
   }
 
-  // Pin for this statement unless an explicit snapshot pin is open.
-  const bool statement_pin = !explicit_pin_;
-  const uint64_t pin =
-      statement_pin ? db_->epochs_.Pin(slot_) : pin_epoch_;
-  if (statement_pin && db_->epochs_.readers_gauge != nullptr) {
-    db_->epochs_.readers_gauge->fetch_add(1, std::memory_order_relaxed);
-  }
   std::vector<std::unique_ptr<ResultSet>> cte_store(
       static_cast<size_t>(plan->cte_slot_count));
   ExecContext::SubqueryMemo memo;
@@ -1340,14 +1307,7 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
           : 0;
   ctx.cancel = db_->cancel_token_.flag();
   ctx.mem = &db_->mem_;
-  auto result = ExecutePlannedSelect(*plan->select, ctx);
-  if (statement_pin) {
-    db_->epochs_.Unpin(slot_);
-    if (db_->epochs_.readers_gauge != nullptr) {
-      db_->epochs_.readers_gauge->fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
-  return result;
+  return ExecutePlannedSelect(*plan->select, ctx);
 }
 
 std::string ResultSet::ToString(size_t max_rows) const {

@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -92,12 +91,16 @@ struct CheckpointCapture;
 //    freed only once no reader pins an epoch that could reach it, so reader
 //    scans never take a lock on the data path.
 //
-//  * DDL is NOT snapshot-isolated: catalog changes (CREATE/DROP of tables,
-//    indexes, triggers) take an exclusive catalog lock that waits out
-//    in-flight reader statements; a pinned reader's NEXT statement sees the
-//    new catalog (e.g. "table not found" after a drop). Reader sessions plan
-//    with index probes disabled — hash indexes are writer-private — so
-//    snapshot reads always scan.
+//  * DDL is NOT snapshot-isolated, and it never waits for readers. The
+//    writer publishes the table catalog through one atomic pointer: CREATE
+//    and DROP of a table publish a new catalog version and retire the old
+//    one (with any table only it still holds) to the epoch manager. A
+//    statement pins its epoch before it resolves a name, so an in-flight
+//    statement finishes on the tables it pinned, and the reader's NEXT
+//    statement sees the new catalog (e.g. "table not found" after a drop).
+//    Index and trigger DDL needs no reader sync at all: reader sessions
+//    plan with index probes disabled — hash indexes are writer-private, so
+//    snapshot reads always scan — and never read triggers.
 //
 //  * Two background threads may exist: the group-commit flusher (kBatched
 //    durability; fsyncs the WAL every group_commit_window_us) and at most
@@ -234,8 +237,8 @@ class Database {
   /// from disk, retrying up to `max_attempts` times with exponential backoff.
   /// The backoff is bounded (capped at kMaxHealBackoffMs per attempt),
   /// interruptible (cancel_token() aborts the sleep with kCancelled), and
-  /// observable (each attempt bumps the db.heal_attempts counter and each
-  /// backoff records a kGovernance trace event annotated "heal_backoff").
+  /// observable (each attempt bumps Stats::heal_attempts and each backoff
+  /// records a kGovernance trace event annotated "heal_backoff").
   /// No-op when not read-only; rejected inside a transaction. On success the
   /// in-memory state equals the last committed-on-disk unit boundary.
   Status TryHeal(int max_attempts = 5);
@@ -520,10 +523,8 @@ class Database {
   //    gauges, mvcc.version_rows / mvcc.version_bytes (pre-update images
   //    parked in table version buffers), mvcc.version_gc_rows and
   //    mvcc.slab_reclaims counters (epoch GC actually firing);
-  //    readers.sessions gauges open reader sessions; catalog-lock
-  //    acquisitions record shared/exclusive wait time into
-  //    catalog_lock.shared_wait / catalog_lock.exclusive_wait histograms;
-  //    and the batched flusher records group-commit batch size (fsync `a`
+  //    readers.sessions gauges open reader sessions; and the batched
+  //    flusher records group-commit batch size (fsync `a`
   //    payload) plus wal.window_occupancy_pct. Per-table/per-index access
   //    stats (scans, probes/hits, rows read/inserted/deleted/updated,
   //    version-buffer size) aggregate in Table and surface via SQL
@@ -602,6 +603,24 @@ class Database {
  private:
   friend class Executor;
   friend class ReaderSession;
+
+  /// One catalog version: tables keyed by their original name, compared
+  /// case-insensitively (the transparent comparator keeps FindTable
+  /// allocation-free on the hot path). Immutable once published. Versions
+  /// share their tables, so a dropped table dies with the last version
+  /// that still holds it.
+  using Catalog =
+      std::map<std::string, std::shared_ptr<Table>, AsciiCaseInsensitiveLess>;
+  /// The current catalog version. Writer and reader statements resolve
+  /// names against it; a reader must be pinned while it holds the result.
+  const Catalog& catalog() const {
+    return *catalog_.load(std::memory_order_acquire);
+  }
+  /// Publishes `next` as the catalog (writer thread) and retires the
+  /// version it replaces to the epoch manager, which frees it — and any
+  /// table only it still holds — once no statement pinned before the swap
+  /// is still running.
+  void PublishCatalog(Catalog next);
 
   /// CREATE/DROP of any catalog object drops every cached parse (outstanding
   /// handles survive; re-Prepare of the same text is a miss) and bumps the
@@ -708,11 +727,6 @@ class Database {
 
   /// Resolves the statement-kind histograms and hot counters once (ctor).
   void InitMetrics();
-  /// Timed catalog-lock acquisition: records the wait into
-  /// catalog_lock.exclusive_wait / catalog_lock.shared_wait. All catalog
-  /// lock sites go through these so lock contention is always attributed.
-  std::unique_lock<std::shared_mutex> LockCatalogExclusive() const;
-  std::shared_lock<std::shared_mutex> LockCatalogShared() const;
   /// Histogram slot for a statement kind (see kStmtHistNames).
   static size_t StmtKindSlot(sql::Statement::Kind kind);
   /// Charges a finished trigger cascade's wall time (Executor calls this at
@@ -724,21 +738,16 @@ class Database {
   /// every charging member — their destructors release their charges.
   MemoryAccountant mem_;
   /// String arena every table dedups long values against. Safe in any
-  /// destruction order relative to tables_: interned Values carry their own
-  /// references, so blocks outlive whichever of table or arena dies first.
+  /// destruction order relative to the tables: interned Values carry their
+  /// own references, so blocks outlive whichever of table or arena dies
+  /// first.
   StringInterner interner_;
-  /// Epoch-based MVCC core. Declared before tables_ so retired slab buffers
-  /// (freed by the manager's destructor) outlive every Table.
+  /// Epoch-based MVCC core: retires superseded slab buffers and catalog
+  /// versions, and frees what is still queued in its destructor.
   EpochManager epochs_;
-  /// Catalog-shape lock: reader sessions hold it shared across one whole
-  /// statement (plan + execute); catalog mutations (SQL DDL, direct
-  /// create/drop, heal's state reset) take it exclusively. The writer's DML
-  /// path never touches it — row visibility is MVCC's job.
-  mutable std::shared_mutex catalog_mu_;
-  /// Tables keyed by their original name, compared case-insensitively; the
-  /// transparent comparator keeps FindTable allocation-free on the hot path.
-  std::map<std::string, std::unique_ptr<Table>, AsciiCaseInsensitiveLess>
-      tables_;
+  /// The current catalog version (see PublishCatalog). The writer owns it
+  /// and frees it in ~Database; superseded versions go to epochs_.
+  std::atomic<const Catalog*> catalog_{new Catalog()};
   std::vector<TriggerDef> triggers_;
   Stats stats_;
   TransactionManager txn_{&stats_};
@@ -760,16 +769,13 @@ class Database {
   std::atomic<int64_t>* version_bytes_gauge_ = nullptr;
   std::atomic<uint64_t>* version_gc_rows_ = nullptr;
   std::atomic<int64_t>* reader_sessions_gauge_ = nullptr;
-  Histogram* catalog_shared_wait_ = nullptr;
-  Histogram* catalog_exclusive_wait_ = nullptr;
   /// Governance counters, resolved once in InitMetrics (SHOW METRICS rows
   /// stmt.cancelled / stmt.deadline_exceeded / stmt.resource_exhausted /
-  /// stmt.shed / db.heal_attempts / watchdog.*_stalls).
+  /// stmt.shed / watchdog.*_stalls).
   std::atomic<uint64_t>* stmt_cancelled_ = nullptr;
   std::atomic<uint64_t>* stmt_deadline_exceeded_ = nullptr;
   std::atomic<uint64_t>* stmt_resource_exhausted_ = nullptr;
   std::atomic<uint64_t>* stmt_shed_ = nullptr;
-  std::atomic<uint64_t>* heal_attempts_counter_ = nullptr;
   std::atomic<uint64_t>* flusher_stall_counter_ = nullptr;
   std::atomic<uint64_t>* checkpoint_stall_counter_ = nullptr;
   double slow_statement_threshold_us_ = -1;
@@ -793,8 +799,10 @@ class Database {
 
   /// Plan-cache guard (see catalog_version()). Starts at 1 so a
   /// default-constructed PlanCacheSlot (version 0) never validates. Atomic:
-  /// reader sessions validate cached plans against it; bumps that
-  /// accompany a catalog mutation happen inside the exclusive section.
+  /// reader sessions validate cached plans against it. A DDL statement
+  /// bumps it before its boundary publishes the next epoch, so a reader
+  /// that still validates a plan over a dropped table is pinned early
+  /// enough to keep that table alive.
   std::atomic<uint64_t> catalog_version_{1};
   bool planner_index_probes_enabled_ = true;
   /// Cached plans for trigger-body statements. Entries are version-guarded

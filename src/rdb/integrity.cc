@@ -2,9 +2,11 @@
 //
 // The scrub is strictly read-only: it cross-checks the in-memory structures
 // (row slabs vs hash indexes, next-id vs stored ids, undo log emptiness) and
-// re-walks the on-disk WAL and snapshot CRCs without installing anything —
-// so it stays runnable while the database is degraded to read-only mode, and
-// tests can assert invariants right after an injected storage fault.
+// re-walks the on-disk WAL and snapshot with the decoders recovery uses,
+// without installing anything — so it stays runnable while the database is
+// degraded to read-only mode, and tests can assert invariants right after an
+// injected storage fault.
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -16,13 +18,6 @@
 namespace xupd::rdb {
 
 namespace {
-
-// Mirrors the layout constants in database.cc — the data directory owns
-// exactly one WAL and one snapshot under these fixed names.
-std::string SnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.xupd";
-}
-std::string WalPath(const std::string& dir) { return dir + "/wal.xupd"; }
 
 std::string ValueBrief(const Value& v) {
   std::string s = v.ToString();
@@ -102,7 +97,7 @@ std::vector<std::string> Database::VerifyIntegrity() {
   std::vector<std::string> violations;
 
   // In-memory: slab liveness vs hash indexes, both directions.
-  for (const auto& [key, table] : tables_) {
+  for (const auto& [key, table] : catalog()) {
     VerifyTableIndexes(*table, &violations);
   }
 
@@ -110,7 +105,7 @@ std::vector<std::string> Database::VerifyIntegrity() {
   // counter after recovery would mint duplicate node ids. Only element
   // tables follow the allocator convention (the id, parentId, ... layout) —
   // arbitrary SQL tables may hold any integers in a column named "id".
-  for (const auto& [key, table] : tables_) {
+  for (const auto& [key, table] : catalog()) {
     int col = table->schema().ColumnIndex("id");
     if (col != 0 || table->schema().ColumnIndex("parentId") != 1) continue;
     for (size_t rowid = 0; rowid < table->capacity(); ++rowid) {
@@ -133,7 +128,7 @@ std::vector<std::string> Database::VerifyIntegrity() {
                          " records outside any transaction");
   }
 
-  // On-disk: re-walk the WAL frames and the snapshot CRC. Reads only, so
+  // On-disk: re-walk the WAL frames and the snapshot. Reads only, so
   // this works even while a write fault is being injected.
   if (!data_dir_.empty() && vfs_ != nullptr) {
     // The WAL may legally be one epoch ahead of a fail-stopped writer (a
@@ -141,14 +136,15 @@ std::vector<std::string> Database::VerifyIntegrity() {
     // is whichever of the writer and the on-disk snapshot is newest.
     uint64_t writer_epoch = wal_ != nullptr ? wal_->epoch() : 0;
     uint64_t writer_bytes = wal_ != nullptr ? wal_->committed_bytes() : 0;
-    uint64_t epoch = writer_epoch;
-    uint64_t snap_epoch = SnapshotEpochOnDisk(vfs_, SnapshotPath(data_dir_));
-    if (snap_epoch > epoch) epoch = snap_epoch;
+    uint64_t snap_epoch = 0;
+    std::vector<std::string> snapshot_violations =
+        VerifySnapshotFile(vfs_, SnapshotPath(data_dir_), &snap_epoch);
+    const uint64_t epoch = std::max(writer_epoch, snap_epoch);
     for (std::string& v : VerifyWalFile(vfs_, WalPath(data_dir_), epoch,
                                         writer_epoch, writer_bytes)) {
       violations.push_back(std::move(v));
     }
-    for (std::string& v : VerifySnapshotFile(vfs_, SnapshotPath(data_dir_))) {
+    for (std::string& v : snapshot_violations) {
       violations.push_back(std::move(v));
     }
   }

@@ -161,7 +161,8 @@ int Planner::ChooseAccessPath(const std::vector<PlannedRelation>& rels,
   path->kind = AccessPath::Kind::kScan;
   const Table* table = rels[k].table;
   if (table == nullptr) return -1;  // CTEs have no indexes
-  if (!db_->planner_index_probes_enabled() || !allow_index_probes_) return -1;
+  // Reader sessions disallow probes first: the knob is writer-thread state.
+  if (!allow_index_probes_ || !db_->planner_index_probes_enabled()) return -1;
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     const BoundExpr& c = *conjuncts[ci];
     if (c.kind == Expr::Kind::kBinary && c.op == Expr::Op::kEq) {

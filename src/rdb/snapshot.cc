@@ -1,9 +1,12 @@
 #include "rdb/snapshot.h"
 
 #include <cstring>
+#include <set>
 #include <vector>
 
+#include "common/str_util.h"
 #include "rdb/database.h"
+#include "rdb/sql_parser.h"
 #include "rdb/table.h"
 #include "rdb/vfs.h"
 #include "rdb/wal.h"
@@ -49,7 +52,9 @@ Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
 
   binio::PutU32(&out, static_cast<uint32_t>(capture.tables.size()));
   Row staging;
-  for (const auto& [t, slot_count] : capture.tables) {
+  for (const CheckpointCapture::TableImage& image : capture.tables) {
+    const Table* t = image.table;
+    const size_t slot_count = image.slot_count;
     const TableSchema& schema = t->schema();
     binio::PutString(&out, schema.name());
     binio::PutU32(&out, static_cast<uint32_t>(schema.column_count()));
@@ -74,10 +79,10 @@ Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
       binio::PutU8(&out, live ? 1 : 0);
       for (const Value& v : staging) binio::PutValue(&out, v);
     }
-    binio::PutU32(&out, static_cast<uint32_t>(t->indexes().size()));
-    for (const auto& index : t->indexes()) {
-      binio::PutString(&out, index->name());
-      binio::PutU32(&out, static_cast<uint32_t>(index->column()));
+    binio::PutU32(&out, static_cast<uint32_t>(image.indexes.size()));
+    for (const auto& [name, column] : image.indexes) {
+      binio::PutString(&out, name);
+      binio::PutU32(&out, static_cast<uint32_t>(column));
     }
   }
 
@@ -103,128 +108,141 @@ Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
   return Status::OK();
 }
 
-Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
-                                      const std::string& path) {
-  XUPD_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(vfs, path));
+namespace {
+
+/// The one snapshot decoder. It checks the framing (magic, format version,
+/// whole-file CRC), then walks the entire payload and fails on anything the
+/// loader could not install: a field cut short, an unknown column or value
+/// type, a duplicate table or index, an index on a missing column, a
+/// trigger text that is not a CREATE TRIGGER on a snapshotted table, or
+/// bytes past the trigger list. With `db` it installs each table, slot,
+/// index and trigger as it decodes them (LoadSnapshot); without, it only
+/// walks the file (the scrub), so both reject the same files.
+Result<SnapshotLoadInfo> DecodeSnapshot(const std::string& data,
+                                        const std::string& path,
+                                        Database* db) {
   if (data.size() < sizeof(kSnapshotMagic) + 4 + 4 ||
       std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     return Status::Internal("'" + path + "' is not a snapshot file");
   }
-  {
-    binio::Reader v(data.data() + sizeof(kSnapshotMagic), 4);
-    uint32_t version = v.U32();
-    if (version != kSnapshotFormatVersion) {
-      return Status::Internal(
-          "snapshot format version mismatch: file has " +
-          std::to_string(version) + ", this build reads " +
-          std::to_string(kSnapshotFormatVersion));
-    }
+  binio::Reader v(data.data() + sizeof(kSnapshotMagic), 4);
+  const uint32_t version = v.U32();
+  if (version != kSnapshotFormatVersion) {
+    return Status::Internal(
+        "snapshot format version mismatch: file has " +
+        std::to_string(version) + ", this build reads " +
+        std::to_string(kSnapshotFormatVersion));
   }
-  {
-    binio::Reader c(data.data() + data.size() - 4, 4);
-    uint32_t stored = c.U32();
-    uint32_t actual = binio::Crc32(data.data(), data.size() - 4);
-    if (stored != actual) {
-      return Status::Internal("snapshot '" + path +
-                              "' failed its CRC check (truncated or corrupt)");
-    }
+  binio::Reader c(data.data() + data.size() - 4, 4);
+  if (c.U32() != binio::Crc32(data.data(), data.size() - 4)) {
+    return Status::Internal("snapshot '" + path +
+                            "' failed its CRC check (truncated or corrupt)");
   }
+  auto malformed = [&path](const std::string& why) {
+    return Status::Internal("snapshot '" + path + "' is malformed: " + why);
+  };
 
   binio::Reader r(data.data() + sizeof(kSnapshotMagic) + 4,
                   data.size() - sizeof(kSnapshotMagic) - 4 - 4);
   SnapshotLoadInfo info;
   info.epoch = r.U64();
-  int64_t next_id = r.I64();
+  const int64_t next_id = r.I64();
   info.wal_offset = r.U64();
-  uint32_t table_count = r.U32();
+  std::set<std::string, AsciiCaseInsensitiveLess> tables;
+  const uint32_t table_count = r.U32();
   for (uint32_t ti = 0; r.ok() && ti < table_count; ++ti) {
     std::string name = r.String();
-    uint32_t ncols = r.U32();
+    const uint32_t ncols = r.U32();
     std::vector<ColumnDef> cols;
     for (uint32_t ci = 0; r.ok() && ci < ncols; ++ci) {
       ColumnDef def;
       def.name = r.String();
-      def.type = static_cast<ColumnType>(r.U8());
+      const uint8_t type = r.U8();
+      if (type > static_cast<uint8_t>(ColumnType::kVarchar)) {
+        return malformed("unknown column type " + std::to_string(type));
+      }
+      def.type = static_cast<ColumnType>(type);
       cols.push_back(std::move(def));
     }
     if (!r.ok()) break;
-    auto table = db->CreateTableDirect(TableSchema(name, std::move(cols)),
-                                       /*durable=*/true);
-    if (!table.ok()) return table.status();
-    uint64_t slots = r.U64();
+    if (!tables.insert(name).second) {
+      return malformed("table '" + name + "' appears twice");
+    }
+    Table* table = nullptr;
+    if (db != nullptr) {
+      XUPD_ASSIGN_OR_RETURN(
+          table, db->CreateTableDirect(TableSchema(name, std::move(cols)),
+                                       /*durable=*/true));
+    }
+    const uint64_t slots = r.U64();
     for (uint64_t s = 0; r.ok() && s < slots; ++s) {
-      bool live = r.U8() != 0;
+      const bool live = r.U8() != 0;
       Row row;
-      row.reserve(ncols);
       for (uint32_t ci = 0; r.ok() && ci < ncols; ++ci) {
         row.push_back(r.ReadValue());
       }
       if (!r.ok()) break;
-      table.value()->LoadSlot(std::move(row), live);
+      if (table != nullptr) table->LoadSlot(std::move(row), live);
     }
-    uint32_t index_count = r.U32();
+    std::set<std::string, AsciiCaseInsensitiveLess> indexes;
+    const uint32_t index_count = r.U32();
     for (uint32_t ii = 0; r.ok() && ii < index_count; ++ii) {
       std::string index_name = r.String();
-      uint32_t column = r.U32();
+      const uint32_t column = r.U32();
       if (!r.ok()) break;
-      XUPD_RETURN_IF_ERROR(
-          table.value()->CreateIndex(index_name, static_cast<int>(column)));
+      if (column >= ncols || !indexes.insert(index_name).second) {
+        return malformed("bad index '" + index_name + "' on table '" + name +
+                         "'");
+      }
+      if (table != nullptr) {
+        XUPD_RETURN_IF_ERROR(
+            table->CreateIndex(index_name, static_cast<int>(column)));
+      }
     }
   }
-  uint32_t trigger_count = r.U32();
+  std::set<std::string, AsciiCaseInsensitiveLess> triggers;
+  const uint32_t trigger_count = r.U32();
   for (uint32_t ti = 0; r.ok() && ti < trigger_count; ++ti) {
     std::string sql = r.String();
     if (!r.ok()) break;
-    XUPD_RETURN_IF_ERROR(db->Execute(sql));
+    auto stmt = sql::ParseSql(sql);
+    if (!stmt.ok() ||
+        stmt.value().kind != sql::Statement::Kind::kCreateTrigger ||
+        tables.count(stmt.value().create_trigger.table) == 0 ||
+        !triggers.insert(stmt.value().create_trigger.name).second) {
+      return malformed("bad trigger text '" + sql + "'");
+    }
+    if (db != nullptr) XUPD_RETURN_IF_ERROR(db->Execute(sql));
   }
-  if (!r.ok()) {
-    return Status::Internal("snapshot '" + path + "' is malformed");
+  if (!r.ok()) return malformed("a field runs past the end of the payload");
+  if (r.remaining() != 0) {
+    return malformed(std::to_string(r.remaining()) +
+                     " bytes follow the trigger list");
   }
-  db->set_next_id(next_id);
+  if (db != nullptr) db->set_next_id(next_id);
   return info;
 }
 
-std::vector<std::string> VerifySnapshotFile(Vfs* vfs,
-                                            const std::string& path) {
-  std::vector<std::string> violations;
-  auto read = ReadWholeFile(vfs, path);
-  if (!read.ok()) {
-    if (read.status().code() == StatusCode::kNotFound) return violations;
-    violations.push_back("snapshot unreadable: " + read.status().message());
-    return violations;
-  }
-  const std::string& data = read.value();
-  if (data.size() < sizeof(kSnapshotMagic) + 4 + 4 ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    violations.push_back("snapshot header corrupt: '" + path + "'");
-    return violations;
-  }
-  binio::Reader v(data.data() + sizeof(kSnapshotMagic), 4);
-  uint32_t version = v.U32();
-  if (version != kSnapshotFormatVersion) {
-    violations.push_back("snapshot version mismatch: file has " +
-                         std::to_string(version));
-  }
-  binio::Reader c(data.data() + data.size() - 4, 4);
-  uint32_t stored = c.U32();
-  uint32_t actual = binio::Crc32(data.data(), data.size() - 4);
-  if (stored != actual) {
-    violations.push_back("snapshot CRC mismatch: '" + path + "'");
-  }
-  return violations;
+}  // namespace
+
+Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
+                                      const std::string& path) {
+  XUPD_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(vfs, path));
+  return DecodeSnapshot(data, path, db);
 }
 
-uint64_t SnapshotEpochOnDisk(Vfs* vfs, const std::string& path) {
+std::vector<std::string> VerifySnapshotFile(Vfs* vfs, const std::string& path,
+                                            uint64_t* epoch) {
+  if (epoch != nullptr) *epoch = 0;
   auto read = ReadWholeFile(vfs, path);
-  if (!read.ok()) return 0;
-  const std::string& data = read.value();
-  size_t header = sizeof(kSnapshotMagic) + 4;
-  if (data.size() < header + 8 ||
-      std::memcmp(data.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return 0;
+  if (!read.ok()) {
+    if (read.status().code() == StatusCode::kNotFound) return {};
+    return {"snapshot unreadable: " + read.status().message()};
   }
-  binio::Reader r(data.data() + header, 8);
-  return r.U64();
+  auto decoded = DecodeSnapshot(read.value(), path, nullptr);
+  if (!decoded.ok()) return {decoded.status().message()};
+  if (epoch != nullptr) *epoch = decoded.value().epoch;
+  return {};
 }
 
 }  // namespace xupd::rdb

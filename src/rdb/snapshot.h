@@ -24,9 +24,11 @@
 //
 // Checkpoint atomicity: the snapshot is written to a temp file, fsynced,
 // renamed over the previous snapshot, and the directory is fsynced — a crash
-// leaves either the old or the new snapshot, never a torn one. Any mismatch
-// on load (magic, version, CRC, truncation) is a clean Status error; a
-// half-state is never installed.
+// leaves either the old or the new snapshot, never a torn one. One decoder
+// reads the file: the loader installs what it decodes, the integrity scrub
+// only walks it, so both reject the same files. Any mismatch on load
+// (magic, version, CRC, truncation, a payload that does not decode) is a
+// clean Status error.
 #ifndef XUPD_RDB_SNAPSHOT_H_
 #define XUPD_RDB_SNAPSHOT_H_
 
@@ -43,15 +45,29 @@ namespace xupd::rdb {
 class Database;
 class Table;
 
+/// The data directory layout: one snapshot (plus the temp file a checkpoint
+/// renames over it) and one WAL, under these fixed names.
+inline std::string SnapshotPath(const std::string& dir) {
+  return dir + "/snapshot.xupd";
+}
+inline std::string SnapshotTmpPath(const std::string& dir) {
+  return dir + "/snapshot.tmp";
+}
+inline std::string WalPath(const std::string& dir) {
+  return dir + "/wal.xupd";
+}
+
 /// One checkpoint's commit boundary, captured by the writer thread
 /// (Database::CaptureCheckpoint): the epoch whose row images the serializer
 /// reads, the matching next-id counter, the snapshot-header epoch and WAL
-/// offset, the exact slot count per durable table, and the trigger texts.
-/// A blocking checkpoint serializes it inline and then resets the WAL; a
-/// background one serializes it on its own thread while the writer keeps
-/// committing — slots appended after the capture live past `wal_offset` in
-/// the WAL, so serializing exactly the captured counts keeps replay's
-/// append-only rowid invariant aligned.
+/// offset, the exact slot count and index definitions per durable table,
+/// and the trigger texts. A blocking checkpoint serializes it inline and
+/// then resets the WAL; a background one serializes it on its own thread
+/// while the writer keeps committing — slots appended after the capture
+/// live past `wal_offset` in the WAL, so serializing exactly the captured
+/// counts keeps replay's append-only rowid invariant aligned. The
+/// serializer reads nothing else the writer may change; later DDL reaches
+/// the snapshot through WAL replay.
 struct CheckpointCapture {
   uint64_t pin_epoch = 0;
   int64_t next_id = 0;
@@ -61,7 +77,12 @@ struct CheckpointCapture {
   /// Snapshot-header epoch: the WAL's epoch + 1 when the checkpoint resets
   /// the WAL, the WAL's own epoch when it keeps it.
   uint64_t epoch = 0;
-  std::vector<std::pair<const Table*, size_t>> tables;  // (table, slot count)
+  struct TableImage {
+    const Table* table = nullptr;
+    size_t slot_count = 0;
+    std::vector<std::pair<std::string, int>> indexes;  // (name, column)
+  };
+  std::vector<TableImage> tables;
   std::vector<std::string> trigger_sql;
 };
 
@@ -70,12 +91,12 @@ struct CheckpointCapture {
 /// read through Table::SnapshotReadRow at capture.pin_epoch — live and dead
 /// alike, so a recovered table has the exact slot image that was
 /// checkpointed, tombstone cells included. Off the writer thread the caller
-/// must keep the captured tables alive (shared catalog lock) and the epoch
-/// pinned until this returns. `*renamed` (optional) reports whether the
-/// rename went through — on failure it tells the caller whether the new
-/// snapshot is already visible (a blocking checkpoint must then fail-stop
-/// its old-epoch WAL) or the old state is still fully intact (safe to retry
-/// later).
+/// must keep capture.pin_epoch pinned until this returns: the pin keeps
+/// every captured table alive even if DDL drops it meanwhile. `*renamed`
+/// (optional) reports whether the rename went through — on failure it
+/// tells the caller whether the new snapshot is already visible (a
+/// blocking checkpoint must then fail-stop its old-epoch WAL) or the old
+/// state is still fully intact (safe to retry later).
 Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
                      const std::string& tmp_path,
                      const CheckpointCapture& capture,
@@ -92,16 +113,14 @@ struct SnapshotLoadInfo {
 Result<SnapshotLoadInfo> LoadSnapshot(Database* db, Vfs* vfs,
                                       const std::string& path);
 
-/// Integrity scrub: re-checks the on-disk snapshot's magic, version, and
-/// whole-file CRC without installing anything. Returns human-readable
-/// violations (empty = clean); a missing file is clean (fresh database).
-std::vector<std::string> VerifySnapshotFile(Vfs* vfs, const std::string& path);
-
-/// The epoch recorded in the on-disk snapshot header, or 0 when the file is
-/// missing or too short to carry one. Scrub helper (no CRC verification):
-/// the WAL epoch check must accept a WAL already reset to the epoch of a
-/// checkpoint whose old writer then fail-stopped.
-uint64_t SnapshotEpochOnDisk(Vfs* vfs, const std::string& path);
+/// Integrity scrub: walks the on-disk snapshot with the loader's decoder
+/// without installing anything. Returns human-readable violations (empty =
+/// clean); a missing file is clean (fresh database). `*epoch` (optional)
+/// receives the header epoch of a clean file and 0 otherwise — the WAL
+/// epoch check must accept a WAL already reset to the epoch of a checkpoint
+/// whose old writer then fail-stopped.
+std::vector<std::string> VerifySnapshotFile(Vfs* vfs, const std::string& path,
+                                            uint64_t* epoch = nullptr);
 
 }  // namespace xupd::rdb
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <mutex>
-#include <shared_mutex>
 
 #include "common/str_util.h"
 #include "rdb/sql_parser.h"
@@ -329,9 +327,9 @@ Result<ResultSet> Executor::RunShow(const sql::Statement& stmt) {
         out.rows.push_back(
             {Value::Str(std::move(name)), Value::Int(static_cast<int64_t>(v))});
       };
-      // tables_ is keyed case-insensitively by name; emit in map order with
-      // the schema's original casing.
-      for (const auto& [key, table] : db_->tables_) {
+      // The catalog is keyed case-insensitively by name; emit in map order
+      // with the schema's original casing.
+      for (const auto& [key, table] : db_->catalog()) {
         const std::string& name = table->schema().name();
         const TableAccessStats& s = table->access_stats();
         add("table." + name + ".scans", s.scans);
@@ -383,12 +381,7 @@ Result<ResultSet> Executor::RunCreateIndex(const sql::CreateIndexStmt& stmt) {
   if (col < 0) {
     return Status::NotFound("column '" + stmt.column + "' not found");
   }
-  {
-    // Index vectors are walked by reader-session planners under the shared
-    // catalog lock; mutate them exclusively.
-    auto lock = db_->LockCatalogExclusive();
-    XUPD_RETURN_IF_ERROR(table->CreateIndex(stmt.name, col));
-  }
+  XUPD_RETURN_IF_ERROR(table->CreateIndex(stmt.name, col));
   return ResultSet{};
 }
 
@@ -409,44 +402,33 @@ Result<ResultSet> Executor::RunCreateTrigger(const sql::CreateTriggerStmt& stmt)
   // Keep the original text only for top-level creates — it is how snapshots
   // persist the trigger (trigger-body DDL would capture the wrong text).
   if (trigger_depth_ == 0) def.sql = std::string(sql_text_);
-  {
-    auto lock = db_->LockCatalogExclusive();
-    db_->triggers_.push_back(std::move(def));
-  }
+  db_->triggers_.push_back(std::move(def));
   return ResultSet{};
 }
 
 Result<ResultSet> Executor::RunDrop(const sql::DropStmt& stmt) {
   switch (stmt.what) {
     case sql::DropStmt::What::kTable: {
-      auto it = db_->tables_.find(stmt.name);
-      if (it == db_->tables_.end()) {
+      Database::Catalog next = db_->catalog();
+      auto it = next.find(stmt.name);
+      if (it == next.end()) {
         return Status::NotFound("table '" + stmt.name + "' not found");
       }
-      // An off-thread checkpoint may hold a raw Table*; let it finish
-      // before the table is destroyed, then drop under the exclusive
-      // catalog lock so no reader-session planner resolves a dangling
-      // pointer. DDL is not snapshot-isolated: a pinned reader's next
-      // statement simply fails to find the table (documented anomaly).
-      db_->CheckpointWait();
-      {
-        auto lock = db_->LockCatalogExclusive();
-        // Bump inside the exclusive section: a reader session validating a
-        // cached plan under the shared lock must never pass validation
-        // after the mutation but before the version change.
-        db_->catalog_version_.fetch_add(1, std::memory_order_acq_rel);
-        db_->tables_.erase(it);
-        auto& trigs = db_->triggers_;
-        trigs.erase(std::remove_if(trigs.begin(), trigs.end(),
-                                   [&](const Database::TriggerDef& t) {
-                                     return EqualsIgnoreCase(t.table, stmt.name);
-                                   }),
-                    trigs.end());
-      }
+      // Statements pinned before the drop — reader sessions, an off-thread
+      // checkpoint — finish on the retired table. DDL is not
+      // snapshot-isolated: a reader's next statement simply fails to find
+      // the table (documented anomaly).
+      next.erase(it);
+      db_->PublishCatalog(std::move(next));
+      auto& trigs = db_->triggers_;
+      trigs.erase(std::remove_if(trigs.begin(), trigs.end(),
+                                 [&](const Database::TriggerDef& t) {
+                                   return EqualsIgnoreCase(t.table, stmt.name);
+                                 }),
+                  trigs.end());
       return ResultSet{};
     }
     case sql::DropStmt::What::kIndex: {
-      auto lock = db_->LockCatalogExclusive();
       if (!stmt.table.empty()) {
         Table* table = db_->FindTable(stmt.table);
         if (table == nullptr) {
@@ -456,13 +438,12 @@ Result<ResultSet> Executor::RunDrop(const sql::DropStmt& stmt) {
         return ResultSet{};
       }
       // Owning table unknown: one pass over the catalog, one scan per table.
-      for (auto& [name, table] : db_->tables_) {
+      for (auto& [name, table] : db_->catalog()) {
         if (table->TryDropIndex(stmt.name)) return ResultSet{};
       }
       return Status::NotFound("index '" + stmt.name + "' not found");
     }
     case sql::DropStmt::What::kTrigger: {
-      auto lock = db_->LockCatalogExclusive();
       auto& trigs = db_->triggers_;
       size_t before = trigs.size();
       trigs.erase(std::remove_if(trigs.begin(), trigs.end(),

@@ -213,6 +213,9 @@ Table::~Table() {
   if (mem_ != nullptr && version_bytes_.load() != 0) {
     mem_->Release(MemoryAccountant::kVersionBuffers, version_bytes_.load());
   }
+  // A dropped table's parked images leave the epoch manager's count with
+  // it; otherwise every later boundary would run the GC pass for them.
+  if (em_ != nullptr) em_->version_entries -= versions_.size();
 }
 
 Value* Table::ReserveRowSlot() {

@@ -726,11 +726,7 @@ TEST(TryHealBackoffTest, BackoffIsBoundedInterruptibleAndObservable) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             5000);
-  const uint64_t attempts = db.stats().heal_attempts;
-  EXPECT_GE(attempts, 3u);
-  EXPECT_GE(db.metrics().Counter("db.heal_attempts")
-                ->load(std::memory_order_relaxed),
-            3u);
+  EXPECT_GE(db.stats().heal_attempts, 3u);
   // Observable: each backoff is a kGovernance trace span.
   bool traced = false;
   for (const std::string& line : db.events().ToJsonLines()) {

@@ -17,6 +17,7 @@
 
 #include "engine/store.h"
 #include "rdb/database.h"
+#include "rdb/snapshot.h"
 #include "rdb/vfs.h"
 #include "rdb/wal.h"
 #include "test_util.h"
@@ -283,6 +284,41 @@ TEST_F(RdbRecoveryTest, BlockingCheckpointTakesNoReaderSlot) {
   EXPECT_EQ(DumpDurableState(db2), expected);
 }
 
+TEST_F(RdbRecoveryTest, DdlRunsBesideABackgroundCheckpoint) {
+  // DDL does not wait for an off-thread checkpoint: the checkpoint's epoch
+  // pin keeps every table it captured alive, so DROP TABLE neither joins
+  // it nor frees what it is still serializing. The snapshot holds the
+  // table as captured; WAL replay past its offset applies the DDL.
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db, "CREATE TABLE big (id INTEGER, name VARCHAR)");
+    for (int batch = 0; batch < 40; ++batch) {
+      std::string sql = "INSERT INTO big VALUES ";
+      for (int i = 0; i < 500; ++i) {
+        const int id = batch * 500 + i;
+        sql += (i == 0 ? "(" : ", (") + std::to_string(id) + ", 'big row " +
+               std::to_string(id) + "')";
+      }
+      Must(&db, sql);
+    }
+    Must(&db, "INSERT INTO t VALUES (1, 'a')");
+    ASSERT_TRUE(db.CheckpointBackground().ok());
+    Must(&db, "CREATE INDEX idx_big_id ON big (id)");
+    Must(&db, "DROP TABLE big");
+    EXPECT_TRUE(db.checkpoint_running());
+    Must(&db, "INSERT INTO t VALUES (2, 'b')");
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    EXPECT_EQ(db.FindTable("big"), nullptr);
+    expected = DumpDurableState(db);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
+  EXPECT_EQ(db2.FindTable("big"), nullptr);
+}
+
 TEST_F(RdbRecoveryTest, AutocommitStatementsPersistWithoutExplicitTxn) {
   {
     rdb::Database db;
@@ -508,6 +544,37 @@ TEST_F(WalCorruptionTest, CorruptSnapshotFailsItsCrcCheckCleanly) {
   Status s = db.Open(dir_.path());
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("CRC"), std::string::npos) << s;
+}
+
+TEST_F(WalCorruptionTest, ScrubRejectsASnapshotTheLoaderRejects) {
+  // A snapshot with a valid header and CRC whose payload does not decode:
+  // the scrub walks it with the loader's decoder, so it must not call a
+  // file clean that Open refuses.
+  const std::string path = dir_.path() + "/snapshot.xupd";
+  {
+    rdb::Database db;
+    ASSERT_TRUE(db.Open(dir_.path()).ok());
+    ASSERT_TRUE(db.Execute("CREATE TABLE t (id INTEGER)").ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+    ASSERT_TRUE(db.VerifyIntegrity().empty());
+    const std::string snap = ReadFile(path);
+    ASSERT_GT(snap.size(), 36u);
+    // Keep the 36-byte header (magic, version, epoch, next id, WAL
+    // offset), then claim one table whose name runs 1000 bytes past the
+    // end.
+    std::string bad = snap.substr(0, 36);
+    rdb::binio::PutU32(&bad, 1);     // table count
+    rdb::binio::PutU32(&bad, 1000);  // name length
+    bad += "t";
+    rdb::binio::PutU32(&bad, rdb::binio::Crc32(bad.data(), bad.size()));
+    WriteFile(path, bad);
+    EXPECT_FALSE(rdb::VerifySnapshotFile(rdb::Vfs::Default(), path).empty());
+    EXPECT_FALSE(db.VerifyIntegrity().empty());
+  }
+  rdb::Database reopened;
+  Status s = reopened.Open(dir_.path());
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("malformed"), std::string::npos) << s;
 }
 
 TEST_F(WalCorruptionTest, StaleEpochWalIsIgnoredAfterCheckpoint) {
