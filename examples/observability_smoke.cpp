@@ -219,8 +219,11 @@ int RunTraceMode(const std::string& dir) {
   }
 
   // --- Chrome trace export -------------------------------------------------
-  const std::string trace_json = db->events().DumpChromeTrace();
+  // One snapshot for both sides of every check below: the background
+  // threads keep recording (a group fsync can land at any moment), so a
+  // second Events() read may hold spans the rendered document does not.
   const std::vector<TraceEvent> events = db->events().Events();
+  const std::string trace_json = EventLog::ChromeTrace(events);
   Check(trace_json.find("\"traceEvents\":[") == 0 ||
             trace_json.find("{\"traceEvents\":[") == 0,
         "trace export is a traceEvents document");

@@ -189,8 +189,7 @@ std::string EventLog::DumpJson() const {
   return out;
 }
 
-std::string EventLog::DumpChromeTrace() const {
-  const std::vector<TraceEvent> events = Events();
+std::string EventLog::ChromeTrace(const std::vector<TraceEvent>& events) {
   std::string out = "{\"traceEvents\":[";
   char buf[512];
   bool first = true;

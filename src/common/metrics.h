@@ -362,7 +362,10 @@ class EventLog {
   /// naming every track (trace::ThreadName or "thread-<tid>"), and "s"/"f"
   /// flow arrows for every parent→child edge that crosses threads. Load
   /// the result in chrome://tracing or ui.perfetto.dev.
-  std::string DumpChromeTrace() const;
+  std::string DumpChromeTrace() const { return ChromeTrace(Events()); }
+  /// The same rendering of an Events() snapshot — lets a caller check the
+  /// document against exactly the events it was rendered from.
+  static std::string ChromeTrace(const std::vector<TraceEvent>& events);
 
  private:
   mutable std::mutex mu_;

@@ -1,16 +1,10 @@
 #include "rdb/database.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "rdb/exec_node.h"
-#include "rdb/snapshot.h"
 #include "rdb/sql_executor.h"
 #include "rdb/sql_parser.h"
-#include "rdb/vfs.h"
 
 namespace xupd::rdb {
 
@@ -81,8 +75,6 @@ void Database::InitMetrics() {
   stmt_deadline_exceeded_ = metrics_.Counter("stmt.deadline_exceeded");
   stmt_resource_exhausted_ = metrics_.Counter("stmt.resource_exhausted");
   stmt_shed_ = metrics_.Counter("stmt.shed");
-  flusher_stall_counter_ = metrics_.Counter("watchdog.flusher_stalls");
-  checkpoint_stall_counter_ = metrics_.Counter("watchdog.checkpoint_stalls");
   mem_.AttachMetrics(&metrics_);
 }
 
@@ -127,8 +119,7 @@ bool Database::IsDdl(const sql::Statement& stmt) {
 }
 
 void Database::InvalidateStatementCache() {
-  cache_index_.clear();
-  cache_lru_.clear();
+  statement_cache_.Clear();
   BumpCatalogVersion();
 }
 
@@ -145,261 +136,28 @@ void Database::PublishCatalog(Catalog next) {
   epochs_.Retire(epochs_.current(), [old] { delete old; });
 }
 
-// ---------------------------------------------------------------------------
-// Durability
+void Database::ResetCatalog() {
+  PublishCatalog({});
+  triggers_.clear();
+  InvalidateStatementCache();
+  next_id_ = 1;
+}
 
 Database::~Database() {
-  // Background threads first: the checkpoint thread holds a reader slot,
-  // the flusher dereferences wal_.
-  (void)CheckpointWait();
-  StopFlusher();
+  // Background threads first (the checkpoint thread reads the tables), and
+  // a clean shutdown persists pending direct-API writes; an open
+  // transaction's pending redo is uncommitted and must not.
+  durability_.Close(/*commit_pending=*/!txn_.active());
   // The metrics registry dies before the tables, interner_ and txn_ do,
   // and their destructors release memory charges — stop mirroring into
   // gauges now.
   mem_.AttachMetrics(nullptr);
-  if (wal_ != nullptr) {
-    // Clean shutdown persists pending direct-API writes; an open
-    // transaction's pending redo is uncommitted and must not.
-    if (!txn_.active()) (void)WalCommitUnit();
-    (void)wal_->Close();
-  }
   delete catalog_.load(std::memory_order_relaxed);
-  // lock_file_'s destructor releases the directory flock.
-}
-
-Status Database::Open(const std::string& dir,
-                      const DurabilityOptions& options) {
-  if (wal_ != nullptr) {
-    return Status::InvalidArgument("durability is already open");
-  }
-  if (!catalog().empty() || txn_.active()) {
-    return Status::InvalidArgument(
-        "Open requires a fresh Database (no tables, no open transaction)");
-  }
-  vfs_ = options.vfs != nullptr ? options.vfs : Vfs::Default();
-  int err = vfs_->Mkdir(dir);
-  if (err == 0) {
-    // Make the new directory's own entry durable (see WalWriter::Open for
-    // the file-level counterpart); without this a power loss could lose
-    // the whole directory even though its files were fsynced.
-    if (options.sync_mode != SyncMode::kNone) {
-      if ((err = vfs_->SyncDir(dir)) != 0) {
-        return ErrnoStatus("cannot fsync parent of data directory", dir, err);
-      }
-    }
-  } else if (err != EEXIST) {
-    return ErrnoStatus("cannot create data directory", dir, err);
-  }
-  data_dir_ = dir;
-  durability_options_ = options;
-
-  // Exclusive directory lock: two writers on one WAL would truncate and
-  // overwrite each other's committed frames with no error until the next
-  // recovery hits a CRC mismatch. flock conflicts across processes AND
-  // across two Database instances in one process; released in ~Database.
-  std::string lock_path = dir + "/LOCK";
-  std::unique_ptr<VfsFile> lock =
-      vfs_->Open(lock_path, Vfs::OpenMode::kWrite, &err);
-  if (lock == nullptr) {
-    return ErrnoStatus("cannot open lock file", lock_path, err);
-  }
-  if (lock->TryLockExclusive() != 0) {
-    return Status::InvalidArgument(
-        "data directory '" + dir +
-        "' is already in use by another Database (lock held)");
-  }
-  lock_file_ = std::move(lock);
-  // Restore the documented fresh-Database precondition on any failure: a
-  // half-loaded snapshot or half-replayed WAL must not linger as a partial
-  // catalog the caller could mistake for usable in-memory state.
-  auto fail = [&](Status s) {
-    PublishCatalog({});
-    triggers_.clear();
-    trigger_plans_.clear();
-    next_id_ = 1;
-    data_dir_.clear();
-    recovered_ = false;
-    lock_file_ = nullptr;
-    return s;
-  };
-
-  // A crash (or ENOSPC) between a checkpoint's temp-file write and its
-  // rename leaves an orphan temp snapshot; clean it up here so it cannot
-  // accumulate in the data dir forever.
-  if (vfs_->Exists(SnapshotTmpPath(dir))) {
-    (void)vfs_->Remove(SnapshotTmpPath(dir));
-  }
-
-  Status recovered = RecoverFromDir();
-  if (!recovered.ok()) return fail(recovered);
-  if (durability_options_.sync_mode == SyncMode::kBatched) StartFlusher();
-  return Status::OK();
-}
-
-Status Database::RecoverFromDir() {
-  const uint64_t t0 = MonotonicNanos();
-  uint64_t epoch = 1;
-  uint64_t wal_offset = 0;
-  bool have_snapshot = false;
-  if (vfs_->Exists(SnapshotPath(data_dir_))) {
-    auto loaded = LoadSnapshot(this, vfs_, SnapshotPath(data_dir_));
-    if (!loaded.ok()) return loaded.status();
-    epoch = loaded.value().epoch;
-    wal_offset = loaded.value().wal_offset;
-    have_snapshot = true;
-  }
-  WalReplayResult replay;
-  if (vfs_->Exists(WalPath(data_dir_))) {
-    auto replayed = ReplayWal(this, vfs_, WalPath(data_dir_), epoch,
-                              wal_offset);
-    if (!replayed.ok()) return replayed.status();
-    replay = replayed.value();
-  }
-  if (replay.valid_bytes < wal_offset) {
-    // The snapshot (written by a background checkpoint) contains every
-    // commit up to wal_offset, but the WAL's valid prefix ends short of
-    // that — a synced region was lost or corrupted. Resuming appends at
-    // valid_bytes would alias NEW commits into the byte range the next
-    // recovery skips as snapshot-covered, silently dropping them; fail
-    // loudly instead.
-    return Status::Internal(
-        "WAL valid prefix (" + std::to_string(replay.valid_bytes) +
-        " bytes) ends before the snapshot's recorded offset (" +
-        std::to_string(wal_offset) + "): a synced WAL region was lost");
-  }
-  stats_.recovery_replayed += replay.applied_records;
-  recovered_ = have_snapshot || replay.applied_records > 0;
-
-  XUPD_RETURN_IF_ERROR(
-      OpenWalWriter(epoch, replay.valid_bytes, &replay.table_ids));
-  // Everything loaded so far belongs to the pre-boundary epoch; publish the
-  // first post-recovery boundary so reader pins see the recovered state.
-  epochs_.Advance();
-  const uint64_t dur = MonotonicNanos() - t0;
-  metrics_.GetHistogram("db.recovery")->Record(dur);
-  events_.Record({TraceEvent::Kind::kRecovery, t0, dur,
-                  replay.applied_records, 0, nullptr});
-  return Status::OK();
-}
-
-Status Database::OpenWalWriter(
-    uint64_t epoch, uint64_t valid_bytes,
-    const std::vector<std::pair<std::string, uint16_t>>* table_ids) {
-  auto writer = WalWriter::Open(vfs_, WalPath(data_dir_), epoch, valid_bytes,
-                                durability_options_, &stats_, table_ids);
-  if (!writer.ok()) return writer.status();
-  wal_ = std::move(writer).value();
-  wal_->AttachMetrics(metrics_.GetHistogram("wal.commit_unit"),
-                      metrics_.GetHistogram("wal.fsync"),
-                      metrics_.GetHistogram("wal.batch_commits"), &events_);
-  wal_->set_accountant(&mem_);
-  txn_.AttachWal(wal_.get());
-  return Status::OK();
-}
-
-Status Database::CaptureCheckpoint(bool reset_wal, CheckpointCapture* out) {
-  if (wal_ == nullptr) {
-    return Status::InvalidArgument("durability is not open");
-  }
-  if (read_only_) return ReadOnlyError("checkpoint");
-  if (txn_.active()) {
-    return Status::InvalidArgument(
-        "cannot checkpoint inside a transaction (the snapshot must not "
-        "contain uncommitted effects)");
-  }
-  if (checkpoint_running_) {
-    if (!reset_wal) {
-      return Status::InvalidArgument(
-          "a background checkpoint is already running");
-    }
-    // The running one holds raw Table* and a WAL offset the reset below
-    // would invalidate. Its own failure is benign (old snapshot + full WAL
-    // stay consistent), so it does not block this checkpoint.
-    (void)CheckpointWait();
-  }
-  XUPD_RETURN_IF_ERROR(WalCommitUnit());
-  if (!reset_wal) {
-    // Everything the snapshot will claim (bytes below wal_offset) must be
-    // power-loss durable before the offset is stamped: under kBatched
-    // there may be acknowledged-but-unsynced units.
-    Status synced = wal_->Sync();
-    if (!synced.ok()) {
-      if (wal_->broken()) EnterReadOnly(synced);
-      return synced;
-    }
-  }
-  // Publish the boundary the snapshot captures. Only this (writer) thread
-  // advances epochs, so nothing commits between here and the WAL reset of
-  // a blocking checkpoint.
-  AdvanceEpochBoundary();
-  out->pin_epoch = epochs_.current();
-  out->next_id = next_id_;
-  out->wal_offset = reset_wal ? 0 : wal_->file_size();
-  out->epoch = reset_wal ? wal_->epoch() + 1 : wal_->epoch();
-  for (const auto& [name, table] : catalog()) {
-    if (!table->durable()) continue;
-    CheckpointCapture::TableImage& image = out->tables.emplace_back();
-    image.table = table.get();
-    image.slot_count = table->SnapshotRowCount();
-    for (const auto& index : table->indexes()) {
-      image.indexes.emplace_back(index->name(), index->column());
-    }
-  }
-  for (const auto& trigger : triggers_) out->trigger_sql.push_back(trigger.sql);
-  return Status::OK();
-}
-
-Status Database::Checkpoint() {
-  CheckpointCapture capture;
-  XUPD_RETURN_IF_ERROR(CaptureCheckpoint(/*reset_wal=*/true, &capture));
-  // Inline on the writer thread: it is the only thread that retires
-  // storage, so the captured epoch needs no reader slot.
-  const uint64_t t0 = MonotonicNanos();
-  bool renamed = false;
-  Status snap = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
-                              SnapshotTmpPath(data_dir_), capture, &renamed);
-  if (!snap.ok()) {
-    // Fail-stop only when the new-epoch snapshot is already visible (the
-    // failure hit the post-rename directory fsync): the still-open
-    // old-epoch writer would otherwise accept commits that the next
-    // recovery silently ignores. A pre-rename failure (e.g. transient
-    // ENOSPC on the temp file) leaves old snapshot + WAL fully consistent,
-    // so the writer keeps going and the checkpoint can simply be retried.
-    if (renamed) {
-      wal_->MarkBroken("checkpoint failed after the new snapshot became "
-                       "visible: " + snap.message());
-      EnterReadOnly(snap);
-    }
-    return snap;
-  }
-  // The snapshot now contains every WAL record; reset the log to the new
-  // epoch. A crash between the rename above and this reset leaves an
-  // old-epoch WAL that recovery recognizes as contained and ignores.
-  // flusher_mu_ keeps the group-commit flusher off wal_ across the swap.
-  std::unique_lock<std::mutex> flusher_lock(flusher_mu_);
-  Status reset = wal_->Close();
-  if (reset.ok()) reset = OpenWalWriter(capture.epoch, 0);
-  if (!reset.ok()) {
-    // Same fail-stop: the snapshot is durable up to this point, but the
-    // log cannot accept new units. The (closed) writer stays attached in
-    // its broken state so mutations still pend and every later durable
-    // COMMIT fails loudly at its unit boundary.
-    wal_->MarkBroken("cannot reset WAL after checkpoint: " + reset.message());
-    flusher_lock.unlock();
-    EnterReadOnly(reset);
-    return reset;
-  }
-  flusher_lock.unlock();
-  ++stats_.checkpoints;
-  const uint64_t dur = MonotonicNanos() - t0;
-  metrics_.GetHistogram("db.checkpoint")->Record(dur);
-  events_.Record({TraceEvent::Kind::kCheckpoint, t0, dur, 0, 0, nullptr});
-  return Status::OK();
 }
 
 Status Database::WalFlush() {
   if (txn_.active()) return Status::OK();
-  Status unit = WalCommitUnit();
+  Status unit = durability_.CommitUnit();
   // Every top-level boundary publishes an epoch — also on statement failure
   // (outside a transaction partial effects stay visible, matching the
   // documented single-thread semantics) and on non-durable Databases.
@@ -447,224 +205,32 @@ void Database::AdvanceEpochBoundary() {
                               std::memory_order_relaxed);
 }
 
-Status Database::WalCommitUnit() {
-  if (wal_ == nullptr || wal_->pending_empty()) return Status::OK();
-  Status s = wal_->CommitPending(next_id_);
-  // A fail-stopped writer can never accept another unit: flip the whole
-  // Database into read-only mode so later statements are rejected up front
-  // with a clean kUnavailable instead of each discovering the broken log.
-  if (!s.ok() && wal_->broken()) EnterReadOnly(s);
-  return s;
-}
-
-void Database::WalLogDdl(std::string_view sql_text) {
-  if (wal_ == nullptr || sql_text.empty()) return;
-  wal_->PendDdl(sql_text);
-}
-
-// ---------------------------------------------------------------------------
-// Graceful degradation
-
-Database::Health Database::health() const {
-  Health h;
-  h.read_only = read_only_.load(std::memory_order_acquire);
-  h.cause = read_only_cause_;
-  h.flusher_stalled = WatchdogStalled(
-      flusher_.joinable(), flusher_heartbeat_ns_, GroupCommitWindowUs(),
-      &flusher_stall_reported_, flusher_stall_counter_, "flusher_stall");
-  // A finished-but-unjoined background checkpoint made its progress; only
-  // a thread still inside the snapshot write can be stalled.
-  h.checkpoint_stalled = WatchdogStalled(
-      checkpoint_running_ && !checkpoint_done_.load(std::memory_order_acquire),
-      checkpoint_heartbeat_ns_, checkpoint_watchdog_window_us_,
-      &checkpoint_stall_reported_, checkpoint_stall_counter_,
-      "checkpoint_stall");
-  return h;
-}
-
-int Database::GroupCommitWindowUs() const {
-  return durability_options_.group_commit_window_us > 0
-             ? durability_options_.group_commit_window_us
-             : 2000;
-}
-
-bool Database::WatchdogStalled(bool running,
-                               const std::atomic<uint64_t>& heartbeat_ns,
-                               int64_t window_us, std::atomic<bool>* reported,
-                               std::atomic<uint64_t>* counter,
-                               const char* event) const {
-  const uint64_t hb = heartbeat_ns.load(std::memory_order_acquire);
-  const uint64_t budget = static_cast<uint64_t>(watchdog_stall_windows_) *
-                          static_cast<uint64_t>(window_us) * 1000;
-  const uint64_t now = MonotonicNanos();
-  if (!running || hb == 0 || now - hb <= budget) {
-    reported->store(false, std::memory_order_release);
-    return false;
-  }
-  if (!reported->exchange(true, std::memory_order_acq_rel)) {
-    counter->fetch_add(1, std::memory_order_relaxed);
-    events_.Record({TraceEvent::Kind::kGovernance, hb, now - hb,
-                    static_cast<uint64_t>(watchdog_stall_windows_),
-                    static_cast<uint64_t>(window_us), event});
-  }
-  return true;
-}
-
-void Database::EnterReadOnly(const Status& cause) {
-  if (read_only_) return;  // keep the first (root) cause
-  read_only_ = true;
-  read_only_cause_ = cause.message();
-}
-
-Status Database::ReadOnlyError(const std::string& action) const {
-  return Status::Unavailable(
-      action + " rejected: database is in read-only mode after a storage "
-      "fault (" + read_only_cause_ + "); retry after TryHeal()");
-}
-
 Status Database::CheckWritable(const sql::Statement& stmt) const {
-  if (!read_only_) return Status::OK();
+  if (!read_only()) return Status::OK();
+  // DDL always goes through the WAL when durability is open. DML is
+  // rejected only against durable tables: engine scratch tables (idlists,
+  // setup markers) bypass the WAL and must keep working so reads — which
+  // stage intermediate ids — still run in degraded mode. SELECT, EXPLAIN,
+  // CHECK INTEGRITY, and transaction control stay available (a txn holding
+  // only scratch-table writes is legitimate).
+  using Kind = sql::Statement::Kind;
+  const std::string* table = nullptr;
   const char* action = nullptr;
   switch (stmt.kind) {
-    // DDL always goes through the WAL when durability is open.
-    case sql::Statement::Kind::kCreateTable:
-      action = "CREATE TABLE";
-      break;
-    case sql::Statement::Kind::kCreateIndex:
-      action = "CREATE INDEX";
-      break;
-    case sql::Statement::Kind::kCreateTrigger:
-      action = "CREATE TRIGGER";
-      break;
-    case sql::Statement::Kind::kDrop:
-      action = "DROP";
-      break;
-    // DML is rejected only against durable tables: engine scratch tables
-    // (idlists, setup markers) bypass the WAL and must keep working so
-    // reads — which stage intermediate ids — still run in degraded mode.
-    case sql::Statement::Kind::kInsert: {
-      const Table* t = FindTable(stmt.insert.table);
-      if (t == nullptr || t->durable()) action = "INSERT";
-      break;
-    }
-    case sql::Statement::Kind::kDelete: {
-      const Table* t = FindTable(stmt.del.table);
-      if (t == nullptr || t->durable()) action = "DELETE";
-      break;
-    }
-    case sql::Statement::Kind::kUpdate: {
-      const Table* t = FindTable(stmt.update.table);
-      if (t == nullptr || t->durable()) action = "UPDATE";
-      break;
-    }
-    // SELECT, EXPLAIN, CHECK INTEGRITY, and transaction control stay
-    // available (a txn holding only scratch-table writes is legitimate).
-    default:
-      break;
+    case Kind::kCreateTable: action = "CREATE TABLE"; break;
+    case Kind::kCreateIndex: action = "CREATE INDEX"; break;
+    case Kind::kCreateTrigger: action = "CREATE TRIGGER"; break;
+    case Kind::kDrop: action = "DROP"; break;
+    case Kind::kInsert: table = &stmt.insert.table; action = "INSERT"; break;
+    case Kind::kDelete: table = &stmt.del.table; action = "DELETE"; break;
+    case Kind::kUpdate: table = &stmt.update.table; action = "UPDATE"; break;
+    default: return Status::OK();
   }
-  if (action == nullptr) return Status::OK();
-  return ReadOnlyError(action);
-}
-
-Status Database::ReopenFromDisk() {
-  // No background work may straddle the rebuild: the checkpoint thread
-  // writes the snapshot the probe below reads, the flusher dereferences
-  // wal_.
-  (void)CheckpointWait();
-  // Probe first: recover the on-disk state into a scratch Database. Free
-  // functions only (no Open), so the scratch never touches our flock. If
-  // the fault is still active this fails without disturbing our readable
-  // in-memory catalog.
-  {
-    Database probe;
-    probe.data_dir_ = data_dir_;
-    probe.durability_options_ = durability_options_;
-    probe.vfs_ = vfs_;
-    Status probed = probe.RecoverFromDir();
-    // The probe opened its own writer on our WAL path; close it before we
-    // reopen ours so the header/truncate below is the only writer.
-    if (probe.wal_ != nullptr) {
-      (void)probe.wal_->Close();
-      probe.wal_ = nullptr;
-      probe.txn_.AttachWal(nullptr);
-    }
-    probe.data_dir_.clear();
-    if (!probed.ok()) return probed;
+  if (table != nullptr) {
+    const Table* t = FindTable(*table);
+    if (t != nullptr && !t->durable()) return Status::OK();
   }
-
-  // The disk state recovers cleanly — rebuild this Database from it.
-  // Publishing an empty catalog retires the old tables (statements pinned
-  // before it finish on them) and the version bump invalidates every
-  // cached plan. Recovery then publishes the tables one by one: reader
-  // statements racing the rebuild may see a partial catalog — a documented
-  // heal-window anomaly.
-  {
-    std::lock_guard<std::mutex> flusher_lock(flusher_mu_);
-    wal_ = nullptr;
-  }
-  txn_.AttachWal(nullptr);
-  PublishCatalog({});
-  triggers_.clear();
-  InvalidateStatementCache();
-  next_id_ = 1;
-  recovered_ = false;
-  // Clear the gate BEFORE replaying: snapshot load re-executes CREATE
-  // TRIGGER text through the Executor, which checks CheckWritable.
-  read_only_ = false;
-  read_only_cause_.clear();
-  Status s = RecoverFromDir();
-  if (!s.ok()) {
-    // Half-recovered catalog: stay degraded with the new cause. Reads over
-    // whatever loaded still work; writes stay rejected.
-    EnterReadOnly(s);
-    return s;
-  }
-  return Status::OK();
-}
-
-Status Database::TryHeal(int max_attempts) {
-  if (data_dir_.empty()) {
-    return Status::InvalidArgument("durability is not open");
-  }
-  if (!read_only_) return Status::OK();
-  if (txn_.active()) {
-    return Status::InvalidArgument(
-        "cannot heal inside a transaction (roll back first)");
-  }
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      // Exponential backoff, bounded by kMaxHealBackoffMs and interruptible
-      // via the cancel token (slept in 1ms slices so a Cancel() from
-      // another thread is honored within ~1ms). Each backoff is a
-      // kGovernance trace span annotated with the attempt and planned wait.
-      const int backoff_ms =
-          std::min(1 << attempt, kMaxHealBackoffMs);
-      const uint64_t t0 = MonotonicNanos();
-      for (int slept = 0; slept < backoff_ms; ++slept) {
-        if (cancel_token_.cancelled()) {
-          events_.Record({TraceEvent::Kind::kGovernance, t0,
-                          MonotonicNanos() - t0,
-                          static_cast<uint64_t>(attempt),
-                          static_cast<uint64_t>(backoff_ms), "heal_backoff"});
-          return Status::Cancelled(
-              "heal cancelled during backoff (attempt " +
-              std::to_string(attempt) + " of " +
-              std::to_string(max_attempts) + ")");
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      events_.Record({TraceEvent::Kind::kGovernance, t0,
-                      MonotonicNanos() - t0, static_cast<uint64_t>(attempt),
-                      static_cast<uint64_t>(backoff_ms), "heal_backoff"});
-    }
-    ++stats_.heal_attempts;
-    last = ReopenFromDisk();
-    if (last.ok()) return Status::OK();
-  }
-  return Status::Unavailable(
-      "heal failed after " + std::to_string(max_attempts) +
-      " attempts, database remains read-only (" + last.message() + ")");
+  return durability_.ReadOnlyError(action);
 }
 
 Status Database::Begin() {
@@ -677,7 +243,7 @@ Status Database::Commit() {
   XUPD_RETURN_IF_ERROR(txn_.Commit());
   // The outermost commit makes the unit durable: flush its redo records.
   if (!txn_.active()) {
-    Status unit = WalCommitUnit();
+    Status unit = durability_.CommitUnit();
     AdvanceEpochBoundary();
     const uint64_t dur = MonotonicNanos() - txn_start_ns_;
     metrics_.GetHistogram("db.txn")->Record(dur);
@@ -745,14 +311,6 @@ Status Database::CheckDdlBarrier(const sql::Statement& stmt) const {
         "undoable; commit or roll back first)");
   }
   return Status::OK();
-}
-
-void Database::set_prepared_cache_capacity(size_t capacity) {
-  cache_capacity_ = capacity;
-  while (cache_lru_.size() > cache_capacity_) {
-    cache_index_.erase(cache_lru_.back().first);
-    cache_lru_.pop_back();
-  }
 }
 
 uint64_t Database::EffectiveDeadline(int64_t timeout_us) const {
@@ -904,11 +462,9 @@ Result<ResultSet> Database::ExecuteQuery(std::string_view sql_text,
 
 Result<StatementHandle> Database::Prepare(std::string_view sql_text,
                                           bool cacheable) {
-  auto it = cache_index_.find(sql_text);
-  if (it != cache_index_.end()) {
+  if (StatementHandle cached = statement_cache_.Find(sql_text)) {
     ++stats_.prepared_hits;
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    return it->second->second;
+    return cached;
   }
   ++stats_.prepared_misses;
   ++stats_.sql_parses;
@@ -920,14 +476,7 @@ Result<StatementHandle> Database::Prepare(std::string_view sql_text,
   prepared->stmt = std::move(stmt).value();
   StatementHandle handle = std::move(prepared);
   // DDL is never cached: executing it would invalidate its own entry.
-  if (cacheable && !IsDdl(handle->stmt) && cache_capacity_ > 0) {
-    cache_lru_.emplace_front(handle->sql, handle);
-    cache_index_[handle->sql] = cache_lru_.begin();
-    if (cache_lru_.size() > cache_capacity_) {
-      cache_index_.erase(cache_lru_.back().first);
-      cache_lru_.pop_back();
-    }
-  }
+  if (cacheable && !IsDdl(handle->stmt)) statement_cache_.Insert(handle);
   return handle;
 }
 
@@ -972,7 +521,7 @@ Result<ResultSet> Database::ExecuteQueryBound(std::string_view sql,
 }
 
 Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
-  if (read_only_ && durable) return ReadOnlyError("CREATE TABLE");
+  if (durable && read_only()) return durability_.ReadOnlyError("CREATE TABLE");
   if (FindTable(schema.name()) != nullptr) {
     return Status::AlreadyExists("table '" + schema.name() + "' already exists");
   }
@@ -991,7 +540,9 @@ Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
 }
 
 Status Database::InsertDirect(Table* table, Row row) {
-  if (read_only_ && table->durable()) return ReadOnlyError("INSERT");
+  if (table->durable() && read_only()) {
+    return durability_.ReadOnlyError("INSERT");
+  }
   auto rowid = table->Insert(std::move(row));
   if (!rowid.ok()) return rowid.status();
   ++stats_.rows_inserted;
@@ -1018,143 +569,6 @@ std::vector<std::string> Database::TableNames() const {
     out.push_back(table->schema().name());
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Group-commit flusher (kBatched durability)
-
-void Database::StartFlusher() {
-  if (flusher_.joinable()) return;
-  flusher_stop_ = false;
-  // Seed the heartbeat so the watchdog measures from thread start, not
-  // from a stale stamp left by a previous flusher incarnation.
-  flusher_heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
-  flusher_stall_reported_.store(false, std::memory_order_relaxed);
-  flusher_ = std::thread([this] { FlusherLoop(); });
-}
-
-void Database::StopFlusher() {
-  if (!flusher_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(flusher_mu_);
-    flusher_stop_ = true;
-  }
-  flusher_cv_.notify_all();
-  flusher_.join();
-}
-
-void Database::FlusherLoop() {
-  trace::SetCurrentThreadName("wal-flusher");
-  const int window_us = GroupCommitWindowUs();
-  // Occupancy of the group-commit window: how much of each period the
-  // flusher spent inside Sync (100 ≈ fsync saturates the window and
-  // commits start seeing un-amortized latency).
-  Histogram* occupancy = metrics_.GetHistogram("wal.window_occupancy_pct");
-  std::unique_lock<std::mutex> lock(flusher_mu_);
-  while (!flusher_stop_) {
-    flusher_cv_.wait_for(lock, std::chrono::microseconds(window_us));
-    if (flusher_stop_) break;
-    // flusher_mu_ (held) keeps wal_ stable across checkpoint/heal swaps;
-    // Sync itself no-ops when nothing is dirty. A sync failure is left for
-    // the writer to discover at its next commit (MarkBroken happened
-    // inside Sync); the flusher never flips the Database read-only from
-    // off-thread.
-    if (wal_ != nullptr && !wal_->broken()) {
-      const uint64_t t0 = MonotonicNanos();
-      Status synced = wal_->Sync();
-      const uint64_t sync_ns = MonotonicNanos() - t0;
-      occupancy->Record(sync_ns * 100 / (static_cast<uint64_t>(window_us) *
-                                         1000));
-      // Heartbeat only on a successful fsync: a broken or wedged WAL stops
-      // the stamps, and the watchdog reports the stall after K windows.
-      if (synced.ok()) {
-        flusher_heartbeat_ns_.store(MonotonicNanos(),
-                                    std::memory_order_release);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Off-thread checkpoint
-
-Status Database::CheckpointBackground() {
-  CheckpointCapture capture;
-  XUPD_RETURN_IF_ERROR(CaptureCheckpoint(/*reset_wal=*/false, &capture));
-  // Pin the captured boundary like a reader: the writer keeps committing
-  // past it while the background thread reads the pinned epoch's view, and
-  // reclamation holds anything the pin can still reach — slab buffers, and
-  // every captured table a later DROP retires. Pin() returns the captured
-  // epoch — only this thread advances epochs.
-  const int slot = epochs_.AcquireSlot();
-  if (slot < 0) {
-    return Status::Unavailable(
-        "no epoch slot free for a background checkpoint (all reader "
-        "sessions in use)");
-  }
-  epochs_.Pin(slot);
-  checkpoint_slot_ = slot;
-  checkpoint_running_ = true;
-  checkpoint_status_ = Status::OK();
-  checkpoint_done_.store(false, std::memory_order_release);
-  checkpoint_stall_reported_.store(false, std::memory_order_relaxed);
-  checkpoint_heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
-
-  // Writer-side scheduling span (kCheckpoint a=2): the background thread's
-  // snapshot-write span (a=1) adopts its handoff, so the trace carries a
-  // writer -> checkpoint-thread flow edge.
-  trace::SpanScope schedule_span;
-  {
-    const uint64_t sched_ns = MonotonicNanos();
-    TraceEvent ev{TraceEvent::Kind::kCheckpoint, sched_ns, 0, 2, 0,
-                  "schedule"};
-    schedule_span.Annotate(&ev);
-    events_.Record(ev);
-  }
-  const trace::Handoff bg_handoff = schedule_span.handoff();
-
-  // The thread reads only the capture (its tables stay alive under the
-  // pin) and thread-safe Database state (metrics, events, heartbeats).
-  checkpoint_thread_ = std::thread([this, capture = std::move(capture),
-                                    bg_handoff] {
-    trace::SetCurrentThreadName("checkpoint");
-    trace::SpanScope snapshot_span{bg_handoff};
-    const uint64_t t0 = MonotonicNanos();
-    checkpoint_heartbeat_ns_.store(t0, std::memory_order_release);
-    Status s = WriteSnapshot(*this, vfs_, SnapshotPath(data_dir_),
-                             SnapshotTmpPath(data_dir_), capture);
-    checkpoint_heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
-    checkpoint_status_ = s;
-    if (s.ok()) {
-      const uint64_t dur = MonotonicNanos() - t0;
-      metrics_.GetHistogram("db.checkpoint")->Record(dur);
-      TraceEvent ev{TraceEvent::Kind::kCheckpoint, t0, dur, 1, 0, "snapshot"};
-      snapshot_span.Annotate(&ev);
-      events_.Record(ev);
-    }
-    // Finished-but-unjoined is not a stall: the watchdog ignores the
-    // heartbeat once this flips, even before CheckpointWait runs.
-    checkpoint_done_.store(true, std::memory_order_release);
-  });
-  return Status::OK();
-}
-
-Status Database::CheckpointWait() {
-  if (!checkpoint_running_) return Status::OK();
-  checkpoint_thread_.join();
-  checkpoint_running_ = false;
-  checkpoint_done_.store(false, std::memory_order_release);
-  checkpoint_stall_reported_.store(false, std::memory_order_relaxed);
-  epochs_.Unpin(checkpoint_slot_);
-  epochs_.ReleaseSlot(checkpoint_slot_);
-  checkpoint_slot_ = -1;
-  // A background-checkpoint failure is benign — the WAL was not truncated
-  // and the previous snapshot (or none) plus the full WAL recover every
-  // committed unit; even a renamed-but-unsynced new snapshot is consistent
-  // because its wal_offset only skips records it already contains. No
-  // fail-stop: the caller may simply retry.
-  if (checkpoint_status_.ok()) ++stats_.checkpoints;
-  return checkpoint_status_;
 }
 
 // ---------------------------------------------------------------------------
@@ -1211,21 +625,22 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
                                      const std::vector<Value>* params) {
   ++stats_.statements;
   // Parse, or reuse this session's cached parse of the same text.
-  auto it = plan_cache_.find(sql_text);
-  if (it == plan_cache_.end()) {
+  StatementHandle cached = plan_cache_.Find(sql_text);
+  if (cached == nullptr) {
     ++stats_.sql_parses;
     auto parsed = sql::ParseSql(sql_text);
     if (!parsed.ok()) return parsed.status();
-    CachedPlan entry;
-    entry.param_count = parsed.value().param_count;
-    entry.stmt = std::move(parsed).value();
-    it = plan_cache_.emplace(std::string(sql_text), std::move(entry)).first;
+    auto prepared = std::make_shared<PreparedStatement>();
+    prepared->sql = std::string(sql_text);
+    prepared->param_count = parsed.value().param_count;
+    prepared->stmt = std::move(parsed).value();
+    cached = std::move(prepared);
+    plan_cache_.Insert(cached);
   }
-  CachedPlan& cached = it->second;
 
   // Only SELECT and plain EXPLAIN SELECT: everything else mutates, needs
   // the writer's transaction machinery, or reports writer-private state.
-  const sql::Statement* target = &cached.stmt;
+  const sql::Statement* target = &cached->stmt;
   bool explain = false;
   if (target->kind == sql::Statement::Kind::kExplain) {
     if (target->explain_analyze ||
@@ -1240,10 +655,10 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
         "reader sessions accept only SELECT and EXPLAIN SELECT");
   }
   const size_t bound = params != nullptr ? params->size() : 0;
-  if (static_cast<int>(bound) != cached.param_count) {
+  if (static_cast<int>(bound) != cached->param_count) {
     return Status::InvalidArgument(
         "bound " + std::to_string(bound) + " parameters, statement has " +
-        std::to_string(cached.param_count));
+        std::to_string(cached->param_count));
   }
 
   // Pin before resolving any name: the pin keeps every catalog version and
@@ -1259,10 +674,11 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
     }
   } statement_pin{this, !explicit_pin_};
   const uint64_t pin = PinSnapshot();
+  PlanCacheSlot& slot = cached->plan_slot;
   std::shared_ptr<const PlannedStatement> plan;
-  if (cached.plan != nullptr && cached.version == db_->catalog_version()) {
+  if (slot.plan != nullptr && slot.version == db_->catalog_version()) {
     ++stats_.plan_cache_hits;
-    plan = cached.plan;
+    plan = slot.plan;
   }
   if (plan == nullptr) {
     // Read the version first: DDL bumps it after changing the catalog, so a
@@ -1274,17 +690,10 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
     if (!planned.ok()) return planned.status();
     ++stats_.plans_built;
     plan = std::move(planned).value();
-    cached.plan = plan;
-    cached.version = version;
+    slot.plan = plan;
+    slot.version = version;
   }
-  if (explain) {
-    ResultSet out;
-    out.columns = {"plan"};
-    for (const std::string& line : SplitChar(PlanToString(*plan), '\n')) {
-      out.rows.push_back({Value::Str(line)});
-    }
-    return out;
-  }
+  if (explain) return PlanResult(PlanToString(*plan));
 
   std::vector<std::unique_ptr<ResultSet>> cte_store(
       static_cast<size_t>(plan->cte_slot_count));

@@ -12,20 +12,17 @@
 #define XUPD_RDB_DATABASE_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/str_util.h"
+#include "rdb/durability.h"
 #include "rdb/epoch.h"
 #include "rdb/governance.h"
 #include "rdb/planner.h"
@@ -34,26 +31,8 @@
 #include "rdb/stats.h"
 #include "rdb/table.h"
 #include "rdb/txn.h"
-#include "rdb/vfs.h"
-#include "rdb/wal.h"
 
 namespace xupd::rdb {
-
-/// An immutable parsed statement. Handles stay valid after cache eviction or
-/// invalidation (they are shared_ptrs); name resolution happens at plan
-/// time, so a handle held across DDL simply re-plans against the new
-/// catalog (the per-handle plan slot is version-guarded).
-struct PreparedStatement {
-  std::string sql;     ///< original text (also the cache key).
-  sql::Statement stmt; ///< parsed form.
-  int param_count = 0; ///< number of ? placeholders to bind.
-  /// Cached plan for this statement (the plan cache hangs off the handle, so
-  /// ExecutePrepared/ExecuteBound reuse it across calls and only bind
-  /// parameters). Mutable: handles are shared as pointers-to-const.
-  mutable PlanCacheSlot plan_slot;
-};
-
-using StatementHandle = std::shared_ptr<const PreparedStatement>;
 
 /// Renders "INSERT INTO <table> VALUES (?, ...), (?, ...), ..." with `rows`
 /// placeholder rows of `columns` placeholders each. Parameter values are
@@ -63,7 +42,6 @@ std::string MultiRowInsertSql(std::string_view table, size_t columns,
                               size_t rows);
 
 class ReaderSession;
-struct CheckpointCapture;
 
 // ---------------------------------------------------------------------------
 // Threading model
@@ -102,23 +80,16 @@ struct CheckpointCapture;
 //    plan with index probes disabled — hash indexes are writer-private, so
 //    snapshot reads always scan — and never read triggers.
 //
-//  * Two background threads may exist: the group-commit flusher (kBatched
-//    durability; fsyncs the WAL every group_commit_window_us) and at most
-//    one off-thread checkpoint (CheckpointBackground; serializes a pinned
-//    epoch while the writer keeps committing — a blocking Checkpoint runs
-//    the same serializer on the writer thread instead). Both are managed
-//    internally and joined by ~Database.
+//  * Two background threads may exist, both owned by the durability
+//    component (rdb/durability.h, which also states the per-SyncMode loss
+//    bounds). The WAL writer owns the group-commit flusher (kBatched): its
+//    Open starts it and its Close joins it. At most one off-thread
+//    checkpoint (CheckpointBackground) serializes a pinned epoch while the
+//    writer keeps committing. ~Database joins both.
 //
-// Durability loss bounds per SyncMode, as observed after a crash (what
-// ReplayWal recovers):
-//
-//  * kCommit  — an acknowledged commit is never lost (fsync before ack).
-//  * kBatched — at most the acknowledged units of ONE group-commit window
-//    (group_commit_window_us, default 2ms) are lost; a crash never yields a
-//    torn or reordered unit, only a clean prefix of acknowledged commits.
-//  * kNone    — acknowledged units survive process crashes (the OS page
-//    cache holds appended records) but an OS/power crash may lose anything
-//    since the last checkpoint or explicit Sync.
+//  * Read-only mode engages from any thread: once the writer or the flusher
+//    fail-stops the WAL, read_only() is true everywhere and the next write
+//    to durable state is rejected with kUnavailable.
 // ---------------------------------------------------------------------------
 
 class Database {
@@ -132,56 +103,28 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  // --- durability (rdb/wal.h, rdb/snapshot.h) ------------------------------
+  // --- durability and graceful degradation -------------------------------
   //
-  // Open(dir) turns the database durable: if `dir` holds a snapshot and/or
-  // WAL from an earlier run, the snapshot is loaded and the WAL's committed
-  // prefix replayed (a torn or uncommitted tail is discarded), otherwise the
-  // directory is initialized fresh. From then on every committed unit of
-  // work on *durable* tables — an outermost transaction commit, or each
-  // top-level statement outside a transaction — is appended to the WAL as
-  // logical redo records framed with length + CRC32 and a commit marker
-  // carrying the next-id counter. Durable tables are those created through
-  // SQL DDL (or recovered); engine scratch tables made through the direct
-  // catalog API are ephemeral and bypass both WAL and snapshot. SQL DDL is
-  // logged as its statement text and replayed by re-execution.
+  // Each call forwards to the durability component; rdb/durability.h
+  // documents the WAL, recovery, checkpoints, loss bounds, the read-only
+  // contract and TryHeal.
 
-  /// Opens durability under `dir` (created if missing), recovering any
-  /// existing state. Must be called on a fresh Database (no tables, no open
-  /// transaction) and at most once.
-  Status Open(const std::string& dir, const DurabilityOptions& options = {});
-  /// True when the last Open found existing durable state (snapshot or
-  /// committed WAL records).
-  bool recovered() const { return recovered_; }
-  bool durability_open() const { return wal_ != nullptr; }
-
-  /// Both checkpoint kinds capture the current commit boundary (catalog,
-  /// every row slot with its liveness and cells, index and trigger
-  /// definitions, next-id) and hand it to one serializer (WriteSnapshot in
-  /// rdb/snapshot.h). Both are rejected inside a transaction: a snapshot
-  /// must not contain uncommitted effects.
-  ///
-  /// Checkpoint() serializes the capture inline on the writer thread —
-  /// blocking the writer for the whole write, taking no reader slot — and
-  /// then resets the WAL to the next epoch. A running background
-  /// checkpoint is joined first.
-  Status Checkpoint();
-
-  /// Off-thread checkpoint: captures the boundary with the synced WAL
-  /// offset, pins its epoch in a reader slot, and serializes it on a
-  /// background thread while the writer keeps committing. The WAL is NOT
-  /// truncated — recovery loads the snapshot and replays only the WAL
-  /// suffix past the recorded offset. Returns once the capture is done
-  /// (fast); CheckpointWait() joins the serialization and reports its
-  /// status. Rejected while a background checkpoint is already running and
-  /// (kUnavailable) when every reader slot is taken. A
-  /// background-checkpoint failure is benign: the previous snapshot + full
-  /// WAL still recover everything.
-  Status CheckpointBackground();
-  /// Joins an in-flight background checkpoint (no-op when none is running)
-  /// and returns its final status.
-  Status CheckpointWait();
-  bool checkpoint_running() const { return checkpoint_running_; }
+  Status Open(const std::string& dir, const DurabilityOptions& options = {}) {
+    return durability_.Open(dir, options);
+  }
+  bool recovered() const { return durability_.recovered(); }
+  bool durability_open() const { return durability_.open(); }
+  Status Checkpoint() { return durability_.Checkpoint(); }
+  Status CheckpointBackground() { return durability_.CheckpointBackground(); }
+  Status CheckpointWait() { return durability_.CheckpointWait(); }
+  bool checkpoint_running() const { return durability_.checkpoint_running(); }
+  using Health = Durability::Health;
+  Health health() const { return durability_.health(); }
+  bool read_only() const { return durability_.read_only(); }
+  Status TryHeal(int max_attempts = 5) {
+    return durability_.TryHeal(max_attempts);
+  }
+  static constexpr int kMaxHealBackoffMs = Durability::kMaxHealBackoffMs;
 
   /// Opens a concurrent read-only session (see the threading model above).
   /// Fails with kUnavailable when all EpochManager::kMaxReaders reader
@@ -201,49 +144,6 @@ class Database {
   /// statement boundary of their own. No-op when durability is off or a
   /// transaction is open.
   Status WalFlush();
-
-  // --- graceful degradation ------------------------------------------------
-  //
-  // When the WAL writer fail-stops (append, fsync, or post-checkpoint reset
-  // failure), the Database enters an explicit READ-ONLY mode instead of
-  // surfacing opaque Internal errors forever: SELECT and EXPLAIN keep
-  // serving the in-memory state, while DML/DDL against durable tables (and
-  // the direct write APIs) return kUnavailable naming the original errno and
-  // failed operation. Ephemeral scratch tables bypass the WAL and stay
-  // writable. TryHeal() re-opens the data directory — discarding in-memory
-  // effects that were never durable (they already surfaced as statement
-  // errors) and rebuilding from the snapshot + committed WAL prefix — to
-  // return to read-write once the underlying fault clears.
-
-  struct Health {
-    bool read_only = false;
-    std::string cause;  ///< First failure (op + path + errno); "" if healthy.
-    /// Background-thread watchdogs (see the resource-governance section):
-    /// true when the group-commit flusher / background checkpointer has made
-    /// no progress for watchdog_stall_windows() consecutive windows.
-    bool flusher_stalled = false;
-    bool checkpoint_stalled = false;
-    bool degraded() const {
-      return read_only || flusher_stalled || checkpoint_stalled;
-    }
-  };
-  /// Current health, including lazy watchdog evaluation: the first call that
-  /// observes a stalled background thread bumps watchdog.flusher_stalls /
-  /// watchdog.checkpoint_stalls and records a kGovernance trace event.
-  Health health() const;
-  bool read_only() const { return read_only_.load(std::memory_order_acquire); }
-
-  /// Attempts to return a read-only database to read-write: re-runs recovery
-  /// from disk, retrying up to `max_attempts` times with exponential backoff.
-  /// The backoff is bounded (capped at kMaxHealBackoffMs per attempt),
-  /// interruptible (cancel_token() aborts the sleep with kCancelled), and
-  /// observable (each attempt bumps Stats::heal_attempts and each backoff
-  /// records a kGovernance trace event annotated "heal_backoff").
-  /// No-op when not read-only; rejected inside a transaction. On success the
-  /// in-memory state equals the last committed-on-disk unit boundary.
-  Status TryHeal(int max_attempts = 5);
-  /// Upper bound on one TryHeal backoff sleep, milliseconds.
-  static constexpr int kMaxHealBackoffMs = 100;
 
   /// Online integrity scrub (SQL: CHECK INTEGRITY). Walks every table
   /// checking slab liveness against hash-index entries in both directions,
@@ -284,11 +184,8 @@ class Database {
   //    resources and diagnose); a hard budget (and the WAL pending-buffer
   //    watermark) kills the RUNNING statement at its next poll, rolling the
   //    unit back.
-  //  * Watchdogs: the group-commit flusher and background checkpointer
-  //    stamp progress heartbeats; health() reports a thread stalled when it
-  //    made no progress for watchdog_stall_windows() windows (flusher
-  //    window = group_commit_window_us; checkpointer window =
-  //    checkpoint_watchdog_window_us).
+  //  * Watchdogs: health() reports the group-commit flusher or background
+  //    checkpointer stalled (see rdb/durability.h).
 
   /// Global per-statement timeout in microseconds; 0 (default) disables.
   /// Readable from reader sessions, hence atomic.
@@ -309,16 +206,16 @@ class Database {
   /// Watchdog staleness threshold: a background thread is stalled after
   /// this many progress-free windows. Must be >= 1.
   void set_watchdog_stall_windows(int windows) {
-    watchdog_stall_windows_ = windows < 1 ? 1 : windows;
+    durability_.set_stall_windows(windows);
   }
-  int watchdog_stall_windows() const { return watchdog_stall_windows_; }
+  int watchdog_stall_windows() const { return durability_.stall_windows(); }
   /// The background checkpointer's watchdog window (it has no natural
   /// period like the flusher's group-commit window). Default 1s.
   void set_checkpoint_watchdog_window_us(int64_t us) {
-    checkpoint_watchdog_window_us_ = us < 1 ? 1 : us;
+    durability_.set_checkpoint_window_us(us);
   }
   int64_t checkpoint_watchdog_window_us() const {
-    return checkpoint_watchdog_window_us_;
+    return durability_.checkpoint_window_us();
   }
 
   /// Engine-op deadline (engine/store.cc): arms an absolute MonotonicNanos
@@ -426,9 +323,13 @@ class Database {
   }
 
   /// Prepared-statement cache introspection (tests/benches).
-  size_t prepared_cache_size() const { return cache_lru_.size(); }
-  size_t prepared_cache_capacity() const { return cache_capacity_; }
-  void set_prepared_cache_capacity(size_t capacity);
+  size_t prepared_cache_size() const { return statement_cache_.size(); }
+  size_t prepared_cache_capacity() const {
+    return statement_cache_.capacity();
+  }
+  void set_prepared_cache_capacity(size_t capacity) {
+    statement_cache_.set_capacity(capacity);
+  }
 
   /// Global catalog snapshot version guarding cached plans, bumped by every
   /// SQL DDL statement (including CREATE INDEX / DROP INDEX — plans capture
@@ -469,21 +370,19 @@ class Database {
 
   // --- observability (common/metrics.h) ------------------------------------
   //
-  // Always-on latency attribution next to the Stats event counts. Four
-  // surfaces, cheapest first:
+  // Always-on latency attribution next to the Stats event counts, cheapest
+  // surface first. All of it is plain pre-resolved atomics on the hot path;
+  // the cached-prepared CI budget holds with it on.
   //
-  //  * Histograms + counters: every statement records its wall time into a
-  //    per-kind histogram (stmt.select / stmt.insert / stmt.delete /
-  //    stmt.update / stmt.ddl / stmt.txn / stmt.explain / stmt.other, in
-  //    nanoseconds); the WAL records wal.commit_unit and wal.fsync; the
-  //    checkpoint/recovery/scrub paths record db.checkpoint, snapshot.write,
-  //    db.recovery and db.scrub; outermost transactions record db.txn; and
-  //    engine/store.cc operations record engine.<op> spans. SQL
-  //    `SHOW METRICS` returns all of it — stats.* fields, registry counters
-  //    (db.exec_ns, db.trigger_ns, engine.asr_ns), and <hist>.count/.p50_ns/
-  //    .p95_ns/.p99_ns/.max_ns/.sum_ns rows — and `SHOW HEALTH` wraps
-  //    health(). Per-statement overhead is two clock reads and a bucket
-  //    increment; the cached-prepared CI budget holds with it on.
+  //  * Histograms + counters: per-kind statement histograms (stmt.select /
+  //    .insert / .delete / .update / .ddl / .txn / .explain / .other, in
+  //    ns); wal.commit_unit, wal.fsync, wal.batch_commits (group-commit
+  //    batch size) and wal.window_occupancy_pct from the WAL writer;
+  //    db.checkpoint, snapshot.write, db.recovery, db.scrub and db.txn; and
+  //    engine.<op> spans from engine/store.cc. SQL `SHOW METRICS` returns
+  //    all of it — stats.* fields, registry counters (db.exec_ns,
+  //    db.trigger_ns, engine.asr_ns) and <hist>.count/.p50_ns/.p95_ns/
+  //    .p99_ns/.max_ns/.sum_ns rows — and `SHOW HEALTH` wraps health().
   //
   //  * EXPLAIN ANALYZE <stmt>: executes the statement and returns the plan
   //    annotated with per-operator actual rows / loops / time_us plus a
@@ -496,40 +395,22 @@ class Database {
   //    bounded ring readable via slow_statements() or SQL `SHOW SLOW`.
   //    Threshold < 0 (default) disables capture entirely.
   //
-  //  * Structured events: events() is a fixed-size ring of TraceEvent spans
-  //    (statement / txn / WAL unit / fsync / checkpoint / recovery / scrub /
-  //    engine op) with kind-specific payloads; `SHOW EVENTS` or
-  //    events().DumpJson() exports it. bench/harness.h turns the histograms
-  //    into the p50/p99 columns of bench JSON rows (e.g. commit_p50_us /
-  //    commit_p99_us in the WAL ablation): medians of per-run samples, so
-  //    single-run noise stays out of checked-in numbers.
+  //  * Events and causal traces: events() is a fixed-size ring of TraceEvent
+  //    spans (statement / txn / WAL unit / fsync / checkpoint / recovery /
+  //    scrub / engine op), each stamped with (tid, seq, trace_id, span_id,
+  //    parent_span_id) from the recording thread's trace::Context. Spans
+  //    nest through thread-local context; the two cross-thread edges —
+  //    commit unit -> flusher fsync, checkpoint schedule -> background
+  //    snapshot write — travel as trace::Handoff tokens. `SHOW EVENTS` /
+  //    DumpJson() export the ring; DumpChromeTrace() (SQL `SHOW TRACE`)
+  //    renders it as Chrome/Perfetto JSON with named thread tracks
+  //    ("wal-flusher", "checkpoint") and flow arrows for every handoff.
   //
-  //  * Causal trace spans: every TraceEvent additionally carries
-  //    (tid, seq, trace_id, span_id, parent_span_id), stamped from the
-  //    recording thread's trace::Context (common/metrics.h). The writer's
-  //    statement span is the root; engine ops and WAL commit units nest
-  //    under it via thread-local context, and the two cross-thread edges —
-  //    commit unit -> group-commit flusher fsync, and writer-side
-  //    checkpoint schedule -> background snapshot write — propagate via
-  //    explicit trace::Handoff tokens captured on the producing thread and
-  //    adopted by the consuming one. Background threads name themselves
-  //    ("wal-flusher", "checkpoint") so exported tracks are labeled.
-  //    events().DumpChromeTrace() (or SQL `SHOW TRACE`) renders the ring as
-  //    Chrome/Perfetto trace-event JSON: per-thread named tracks, nested
-  //    duration events, and flow arrows for every cross-thread handoff.
-  //
-  //  * Concurrency telemetry: the commit boundary maintains epoch.published
-  //    and epoch.lag (published − min pinned, 0 when no reader is pinned)
-  //    gauges, mvcc.version_rows / mvcc.version_bytes (pre-update images
-  //    parked in table version buffers), mvcc.version_gc_rows and
-  //    mvcc.slab_reclaims counters (epoch GC actually firing);
-  //    readers.sessions gauges open reader sessions; and the batched
-  //    flusher records group-commit batch size (fsync `a`
-  //    payload) plus wal.window_occupancy_pct. Per-table/per-index access
-  //    stats (scans, probes/hits, rows read/inserted/deleted/updated,
-  //    version-buffer size) aggregate in Table and surface via SQL
-  //    `SHOW TABLE STATS`. All of it is plain pre-resolved atomics on the
-  //    hot path — the cached-prepared CI budget holds with it on.
+  //  * Concurrency telemetry: epoch.published and epoch.lag (published −
+  //    min pinned) gauges, mvcc.version_rows / mvcc.version_bytes gauges,
+  //    mvcc.version_gc_rows and mvcc.slab_reclaims counters (epoch GC
+  //    firing), and readers.sessions. Per-table/per-index access stats
+  //    surface via SQL `SHOW TABLE STATS`.
 
   /// Mutable even on const Database: observability is not logical state
   /// (read-only paths like snapshot writing record their own timings).
@@ -601,6 +482,7 @@ class Database {
   const std::vector<TriggerDef>& triggers() const { return triggers_; }
 
  private:
+  friend class Durability;
   friend class Executor;
   friend class ReaderSession;
 
@@ -621,6 +503,9 @@ class Database {
   /// table only it still holds — once no statement pinned before the swap
   /// is still running.
   void PublishCatalog(Catalog next);
+  /// Empties the catalog, triggers, cached plans and next-id — the state a
+  /// failed Open or a heal starts recovery from.
+  void ResetCatalog();
 
   /// CREATE/DROP of any catalog object drops every cached parse (outstanding
   /// handles survive; re-Prepare of the same text is a miss) and bumps the
@@ -646,42 +531,6 @@ class Database {
   /// kUnavailable while degraded (SELECT, EXPLAIN, transaction control, and
   /// writes to ephemeral scratch tables pass).
   Status CheckWritable(const sql::Statement& stmt) const;
-  /// kUnavailable naming the original fault, for rejected write paths.
-  Status ReadOnlyError(const std::string& action) const;
-  /// Flips into read-only mode recording the first cause (preferring the
-  /// WAL writer's own broken-cause, which names op + path + errno).
-  void EnterReadOnly(const Status& cause);
-  /// Loads the snapshot, replays the WAL's committed prefix, and opens the
-  /// writer under data_dir_. Requires an empty catalog; on failure partial
-  /// state may linger (callers reset or stay read-only).
-  Status RecoverFromDir();
-  /// Opens the WAL writer for `epoch` (resuming appends at `valid_bytes`)
-  /// and installs it: metrics, memory accountant, and the transaction
-  /// manager's redo hooks. `table_ids` seeds the file's table dictionary.
-  Status OpenWalWriter(
-      uint64_t epoch, uint64_t valid_bytes,
-      const std::vector<std::pair<std::string, uint16_t>>* table_ids =
-          nullptr);
-  /// The prologue every checkpoint shares: durability open, not read-only,
-  /// no transaction open (and no background checkpoint running — a
-  /// blocking one joins it, a background one is rejected); commits the
-  /// pending unit, publishes an epoch boundary, and fills `*out` with it.
-  /// `reset_wal` (blocking Checkpoint) stamps epoch+1 and WAL offset 0 —
-  /// the caller resets the WAL before anything else commits; otherwise the
-  /// WAL is synced and the capture keeps its epoch and synced offset.
-  Status CaptureCheckpoint(bool reset_wal, CheckpointCapture* out);
-  /// One TryHeal attempt: probe-recover into a scratch Database first (so an
-  /// active fault cannot wreck the read-serving state), then rebuild this
-  /// one from disk and reopen the WAL writer.
-  Status ReopenFromDisk();
-
-  /// Flushes the WAL's pending redo as one committed unit (carrying the
-  /// current next-id). No-op when durability is off or nothing is pending.
-  Status WalCommitUnit();
-  /// Pends the text of a successfully executed DDL statement (called by the
-  /// Executor; the unit is flushed at the statement boundary since DDL is
-  /// barred inside transactions).
-  void WalLogDdl(std::string_view sql_text);
   /// Shared tail of every statement entry point: runs the statement, then
   /// flushes the WAL at the top-level boundary (even on statement failure —
   /// without a transaction the partial effects stay in memory too). A
@@ -703,27 +552,11 @@ class Database {
   /// The statement-entry governance gate: cancel flag, expired deadline,
   /// hard budget / WAL watermark, then soft-budget admission.
   Status GovernanceAdmission(uint64_t deadline_ns) const;
-  /// Watchdog staleness check for one background thread (see health()): a
-  /// `running` thread is stalled when its heartbeat is older than
-  /// watchdog_stall_windows() windows of `window_us`. The first observation
-  /// of a stall episode (latched in `*reported`) bumps `counter` and
-  /// records a kGovernance trace event named `event`.
-  bool WatchdogStalled(bool running, const std::atomic<uint64_t>& heartbeat_ns,
-                       int64_t window_us, std::atomic<bool>* reported,
-                       std::atomic<uint64_t>* counter,
-                       const char* event) const;
-  /// The group-commit period: group_commit_window_us, or 2ms when unset.
-  int GroupCommitWindowUs() const;
 
   /// Publishes a new epoch at an outermost commit boundary, then reclaims
   /// retired storage / version-buffer images no pinned reader can reach.
   /// The no-garbage fast path is one atomic increment.
   void AdvanceEpochBoundary();
-
-  /// Group-commit flusher lifecycle (kBatched durability).
-  void StartFlusher();
-  void StopFlusher();
-  void FlusherLoop();
 
   /// Resolves the statement-kind histograms and hot counters once (ctor).
   void InitMetrics();
@@ -771,13 +604,11 @@ class Database {
   std::atomic<int64_t>* reader_sessions_gauge_ = nullptr;
   /// Governance counters, resolved once in InitMetrics (SHOW METRICS rows
   /// stmt.cancelled / stmt.deadline_exceeded / stmt.resource_exhausted /
-  /// stmt.shed / watchdog.*_stalls).
+  /// stmt.shed).
   std::atomic<uint64_t>* stmt_cancelled_ = nullptr;
   std::atomic<uint64_t>* stmt_deadline_exceeded_ = nullptr;
   std::atomic<uint64_t>* stmt_resource_exhausted_ = nullptr;
   std::atomic<uint64_t>* stmt_shed_ = nullptr;
-  std::atomic<uint64_t>* flusher_stall_counter_ = nullptr;
-  std::atomic<uint64_t>* checkpoint_stall_counter_ = nullptr;
   double slow_statement_threshold_us_ = -1;
   size_t slow_log_capacity_ = 32;
   std::vector<SlowStatement> slow_log_;
@@ -788,14 +619,8 @@ class Database {
   /// Failpoint countdown; negative = disarmed.
   int64_t fail_after_statements_ = -1;
 
-  /// LRU prepared-statement cache: list front = most recently used; the
-  /// index maps SQL text to its list node (transparent lookup, no copy).
-  std::list<std::pair<std::string, StatementHandle>> cache_lru_;
-  std::map<std::string, std::list<std::pair<std::string, StatementHandle>>::
-                            iterator,
-           std::less<>>
-      cache_index_;
-  size_t cache_capacity_ = 128;
+  /// The prepared-statement cache (see Prepare).
+  StatementCache statement_cache_;
 
   /// Plan-cache guard (see catalog_version()). Starts at 1 so a
   /// default-constructed PlanCacheSlot (version 0) never validates. Atomic:
@@ -809,21 +634,6 @@ class Database {
   /// like handle slots and the map is cleared on every version bump.
   std::map<const sql::Statement*, PlanCacheSlot> trigger_plans_;
 
-  // --- durability ----------------------------------------------------------
-  std::string data_dir_;
-  DurabilityOptions durability_options_;
-  /// All durable file I/O goes through this (never null once Open ran).
-  Vfs* vfs_ = nullptr;
-  std::unique_ptr<WalWriter> wal_;
-  bool recovered_ = false;
-  /// flock'd <data_dir>/LOCK file guarding against two Databases sharing
-  /// one WAL; null when durability is off. Released by ~Database.
-  std::unique_ptr<VfsFile> lock_file_;
-  /// Degraded mode (see health()). Atomic so the flag itself is readable
-  /// off-thread; the cause string is writer-thread state.
-  std::atomic<bool> read_only_{false};
-  std::string read_only_cause_;
-
   // --- resource governance -------------------------------------------------
   /// Connection-level kill switch (see cancel_token()).
   CancelToken cancel_token_;
@@ -834,38 +644,11 @@ class Database {
   /// Cancellation-injection hook (see ArmCancelAtPull).
   std::atomic<int64_t> cancel_at_pull_{0};
   bool cancel_at_pull_armed_ = false;
-  /// Watchdog knobs (see the governance section).
-  int watchdog_stall_windows_ = 8;
-  int64_t checkpoint_watchdog_window_us_ = 1000000;
-  /// Progress heartbeats, stamped by the background threads themselves and
-  /// read by health(); 0 = thread not started.
-  std::atomic<uint64_t> flusher_heartbeat_ns_{0};
-  std::atomic<uint64_t> checkpoint_heartbeat_ns_{0};
-  /// Set by the checkpoint thread at exit: a finished-but-unjoined
-  /// checkpoint (checkpoint_running_ stays true until CheckpointWait) is
-  /// progress, not a stall.
-  std::atomic<bool> checkpoint_done_{false};
-  /// Stall-episode latches: the counter/trace event fire once per episode,
-  /// not on every health() poll. Mutable — health() is const.
-  mutable std::atomic<bool> flusher_stall_reported_{false};
-  mutable std::atomic<bool> checkpoint_stall_reported_{false};
 
-  // --- background threads --------------------------------------------------
-  /// Group-commit flusher (kBatched): fsyncs the WAL every
-  /// group_commit_window_us. flusher_mu_ additionally guards wal_ pointer
-  /// swaps (Checkpoint / ReopenFromDisk) against the flusher dereference.
-  std::thread flusher_;
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  bool flusher_stop_ = false;
-
-  /// At most one background checkpoint (CheckpointBackground). The writer
-  /// thread owns this state; the spawned thread writes checkpoint_status_
-  /// before exiting and it is read after join.
-  std::thread checkpoint_thread_;
-  Status checkpoint_status_;
-  int checkpoint_slot_ = -1;
-  bool checkpoint_running_ = false;
+  /// The durability component (WAL, recovery, checkpoints, heal,
+  /// watchdogs). Declared after everything it reports into; ~Database
+  /// closes it before the tables go.
+  Durability durability_{this};
 };
 
 /// A concurrent read-only SQL session over epoch snapshots (see the
@@ -904,15 +687,6 @@ class ReaderSession {
   friend class Database;
   ReaderSession(Database* db, int slot) : db_(db), slot_(slot) {}
 
-  /// Per-session cached plan keyed by SQL text (validated against the
-  /// catalog version like writer-side handle slots).
-  struct CachedPlan {
-    sql::Statement stmt;
-    int param_count = 0;
-    std::shared_ptr<const PlannedStatement> plan;
-    uint64_t version = 0;
-  };
-
   Result<ResultSet> Run(std::string_view sql, const std::vector<Value>* params);
 
   Database* db_;
@@ -920,7 +694,9 @@ class ReaderSession {
   Stats stats_;
   uint64_t pin_epoch_ = 0;  ///< valid while explicit_pin_.
   bool explicit_pin_ = false;
-  std::map<std::string, CachedPlan, std::less<>> plan_cache_;
+  /// Parsed statements with their plans, validated against the catalog
+  /// version like the writer's handles; bounded like the writer's cache.
+  StatementCache plan_cache_;
 };
 
 }  // namespace xupd::rdb

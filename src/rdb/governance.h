@@ -1,5 +1,5 @@
-// Resource governance primitives: cooperative cancellation and memory
-// accounting.
+// Resource governance primitives: cooperative cancellation, memory
+// accounting, and background-thread watchdogs.
 //
 // CancelToken is a thread-safe cancel flag: any thread may call Cancel()
 // while a statement runs on the writer (or a reader session) thread; the
@@ -189,6 +189,56 @@ class MemoryAccountant {
   std::atomic<uint64_t> wal_pending_limit_{0};
   std::atomic<int64_t>* gauges_[kNumCategories] = {};
   std::atomic<int64_t>* total_gauge_ = nullptr;
+};
+
+/// Progress watchdog for one background thread (the group-commit flusher,
+/// the background checkpointer). The thread brackets its life with
+/// Start()/Stop() and stamps Beat() whenever it makes progress; a thread
+/// that finished but is not yet joined has stopped, so it is not stalled.
+class Watchdog {
+ public:
+  /// `counter` counts stall episodes; `event` names their trace events.
+  Watchdog(std::atomic<uint64_t>* counter, const char* event)
+      : counter_(counter), event_(event) {}
+
+  void Start() {
+    reported_.store(false, std::memory_order_relaxed);
+    Beat();
+    running_.store(true, std::memory_order_release);
+  }
+  void Beat() {
+    heartbeat_ns_.store(MonotonicNanos(), std::memory_order_release);
+  }
+  void Stop() { running_.store(false, std::memory_order_release); }
+
+  /// True when the thread runs and its last beat is older than `windows`
+  /// windows of `window_us`. The first observation of a stall episode bumps
+  /// the counter and records a kGovernance event into `events`; the latch
+  /// re-arms once the thread beats again or stops.
+  bool Stalled(int windows, int64_t window_us, EventLog* events) const {
+    const uint64_t hb = heartbeat_ns_.load(std::memory_order_acquire);
+    const uint64_t budget = static_cast<uint64_t>(windows) *
+                            static_cast<uint64_t>(window_us) * 1000;
+    const uint64_t now = MonotonicNanos();
+    if (!running_.load(std::memory_order_acquire) || now - hb <= budget) {
+      reported_.store(false, std::memory_order_release);
+      return false;
+    }
+    if (!reported_.exchange(true, std::memory_order_acq_rel)) {
+      counter_->fetch_add(1, std::memory_order_relaxed);
+      events->Record({TraceEvent::Kind::kGovernance, hb, now - hb,
+                      static_cast<uint64_t>(windows),
+                      static_cast<uint64_t>(window_us), event_});
+    }
+    return true;
+  }
+
+ private:
+  std::atomic<uint64_t>* counter_;
+  const char* event_;
+  std::atomic<bool> running_{false};
+  std::atomic<uint64_t> heartbeat_ns_{0};
+  mutable std::atomic<bool> reported_{false};
 };
 
 }  // namespace xupd::rdb

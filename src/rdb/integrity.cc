@@ -130,17 +130,19 @@ std::vector<std::string> Database::VerifyIntegrity() {
 
   // On-disk: re-walk the WAL frames and the snapshot. Reads only, so
   // this works even while a write fault is being injected.
-  if (!data_dir_.empty() && vfs_ != nullptr) {
+  if (!durability_.dir().empty()) {
+    const std::string& dir = durability_.dir();
+    const WalWriter* wal = durability_.wal();
     // The WAL may legally be one epoch ahead of a fail-stopped writer (a
     // checkpoint that reset the log before breaking), so the expected epoch
     // is whichever of the writer and the on-disk snapshot is newest.
-    uint64_t writer_epoch = wal_ != nullptr ? wal_->epoch() : 0;
-    uint64_t writer_bytes = wal_ != nullptr ? wal_->committed_bytes() : 0;
+    uint64_t writer_epoch = wal != nullptr ? wal->epoch() : 0;
+    uint64_t writer_bytes = wal != nullptr ? wal->committed_bytes() : 0;
     uint64_t snap_epoch = 0;
     std::vector<std::string> snapshot_violations =
-        VerifySnapshotFile(vfs_, SnapshotPath(data_dir_), &snap_epoch);
+        VerifySnapshotFile(durability_.vfs(), SnapshotPath(dir), &snap_epoch);
     const uint64_t epoch = std::max(writer_epoch, snap_epoch);
-    for (std::string& v : VerifyWalFile(vfs_, WalPath(data_dir_), epoch,
+    for (std::string& v : VerifyWalFile(durability_.vfs(), WalPath(dir), epoch,
                                         writer_epoch, writer_bytes)) {
       violations.push_back(std::move(v));
     }

@@ -820,4 +820,35 @@ std::string PlanToStringAnalyzed(const PlannedStatement& plan,
   return out;
 }
 
+ResultSet PlanResult(std::string_view rendered) {
+  ResultSet out;
+  out.columns = {"plan"};
+  for (const std::string& line : SplitChar(rendered, '\n')) {
+    out.rows.push_back({Value::Str(line)});
+  }
+  return out;
+}
+
+StatementHandle StatementCache::Find(std::string_view sql) {
+  auto it = index_.find(sql);
+  if (it == index_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return *it->second;
+}
+
+void StatementCache::Insert(StatementHandle handle) {
+  if (capacity_ == 0) return;
+  lru_.push_front(std::move(handle));
+  index_[lru_.front()->sql] = lru_.begin();
+  set_capacity(capacity_);
+}
+
+void StatementCache::set_capacity(size_t capacity) {
+  capacity_ = capacity;
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back()->sql);
+    lru_.pop_back();
+  }
+}
+
 }  // namespace xupd::rdb

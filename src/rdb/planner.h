@@ -19,11 +19,15 @@
 #define XUPD_RDB_PLANNER_H_
 
 #include <cstdint>
+#include <list>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "rdb/result.h"
 #include "rdb/sql_ast.h"
 #include "rdb/table.h"
 
@@ -154,6 +158,48 @@ struct PlanCacheSlot {
   const void* db = nullptr;
 };
 
+/// An immutable parsed statement. Handles stay valid after cache eviction or
+/// invalidation (they are shared_ptrs); name resolution happens at plan
+/// time, so a handle held across DDL simply re-plans against the new
+/// catalog (the per-handle plan slot is version-guarded).
+struct PreparedStatement {
+  std::string sql;     ///< original text (also the cache key).
+  sql::Statement stmt; ///< parsed form.
+  int param_count = 0; ///< number of ? placeholders to bind.
+  /// Cached plan for this statement (the plan cache hangs off the handle, so
+  /// ExecutePrepared/ExecuteBound reuse it across calls and only bind
+  /// parameters). Mutable: handles are shared as pointers-to-const.
+  mutable PlanCacheSlot plan_slot;
+};
+
+using StatementHandle = std::shared_ptr<const PreparedStatement>;
+
+/// A bounded LRU cache of parsed statements keyed by their SQL text: the
+/// writer's prepared-statement cache and each reader session's parse cache.
+class StatementCache {
+ public:
+  static constexpr size_t kDefaultCapacity = 128;
+
+  /// The handle cached for `sql`, now the most recently used; null on a miss.
+  StatementHandle Find(std::string_view sql);
+  /// Caches `handle` as the most recently used, evicting the least recently
+  /// used entries beyond capacity.
+  void Insert(StatementHandle handle);
+  void Clear() {
+    index_.clear();
+    lru_.clear();
+  }
+  size_t size() const { return lru_.size(); }
+  size_t capacity() const { return capacity_; }
+  void set_capacity(size_t capacity);
+
+ private:
+  /// Front = most recently used. Keys view the handles' own text.
+  std::list<StatementHandle> lru_;
+  std::map<std::string_view, std::list<StatementHandle>::iterator> index_;
+  size_t capacity_ = kDefaultCapacity;
+};
+
 class Planner {
  public:
   /// `old_schema` (optional) resolves OLD.column references — the schema of
@@ -244,6 +290,10 @@ std::string PlanToString(const PlannedStatement& plan);
 /// "Execution: ..." summary line (the EXPLAIN ANALYZE output).
 std::string PlanToStringAnalyzed(const PlannedStatement& plan,
                                  const AnalyzeStats& stats);
+
+/// A rendered plan as the one-column "plan" result EXPLAIN returns, one row
+/// per line.
+ResultSet PlanResult(std::string_view rendered);
 
 }  // namespace xupd::rdb
 

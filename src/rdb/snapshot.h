@@ -58,7 +58,7 @@ inline std::string WalPath(const std::string& dir) {
 }
 
 /// One checkpoint's commit boundary, captured by the writer thread
-/// (Database::CaptureCheckpoint): the epoch whose row images the serializer
+/// (Durability::Capture): the epoch whose row images the serializer
 /// reads, the matching next-id counter, the snapshot-header epoch and WAL
 /// offset, the exact slot count and index definitions per durable table,
 /// and the trigger texts. A blocking checkpoint serializes it inline and

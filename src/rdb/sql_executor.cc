@@ -39,35 +39,21 @@ Result<ResultSet> Executor::Run(const sql::Statement& stmt,
     // Successful DDL is also pended to the WAL as its statement text (the
     // Database flushes it at the statement boundary); trigger-body DDL has
     // no text of its own and is not persisted.
-    case sql::Statement::Kind::kCreateTable: {
-      auto r = RunCreateTable(stmt.create_table);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
-    case sql::Statement::Kind::kCreateIndex: {
-      auto r = RunCreateIndex(stmt.create_index);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
-    case sql::Statement::Kind::kCreateTrigger: {
-      auto r = RunCreateTrigger(stmt.create_trigger);
-      if (r.ok()) {
-        db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
-      }
-      return r;
-    }
+    case sql::Statement::Kind::kCreateTable:
+    case sql::Statement::Kind::kCreateIndex:
+    case sql::Statement::Kind::kCreateTrigger:
     case sql::Statement::Kind::kDrop: {
-      auto r = RunDrop(stmt.drop);
+      using Kind = sql::Statement::Kind;
+      auto r = stmt.kind == Kind::kCreateTable
+                   ? RunCreateTable(stmt.create_table)
+               : stmt.kind == Kind::kCreateIndex
+                   ? RunCreateIndex(stmt.create_index)
+               : stmt.kind == Kind::kCreateTrigger
+                   ? RunCreateTrigger(stmt.create_trigger)
+                   : RunDrop(stmt.drop);
       if (r.ok()) {
         db_->InvalidateStatementCache();
-        if (trigger_depth_ == 0) db_->WalLogDdl(sql_text_);
+        if (trigger_depth_ == 0) db_->durability_.LogDdl(sql_text_);
       }
       return r;
     }
@@ -199,15 +185,7 @@ Result<ResultSet> Executor::RunExplain(const sql::Statement& stmt,
   // The handle's slot caches the inner statement's plan, so a prepared
   // EXPLAIN re-renders without re-planning.
   XUPD_ASSIGN_OR_RETURN(auto plan, GetPlan(stmt, slot));
-
-  ResultSet out;
-  out.columns = {"plan"};
-  if (!analyze) {
-    for (const std::string& line : SplitChar(PlanToString(*plan), '\n')) {
-      out.rows.push_back({Value::Str(line)});
-    }
-    return out;
-  }
+  if (!analyze) return PlanResult(PlanToString(*plan));
 
   // EXPLAIN ANALYZE executes the statement for real, so the inner statement
   // must pass the same read-only gate it would face unwrapped.
@@ -245,12 +223,7 @@ Result<ResultSet> Executor::RunExplain(const sql::Statement& stmt,
       break;  // kInsert fills root.rows during execution.
   }
   ++db_->stats_.explain_analyzes;
-
-  for (const std::string& line :
-       SplitChar(PlanToStringAnalyzed(*plan, actuals), '\n')) {
-    out.rows.push_back({Value::Str(line)});
-  }
-  return out;
+  return PlanResult(PlanToStringAnalyzed(*plan, actuals));
 }
 
 Result<ResultSet> Executor::RunShow(const sql::Statement& stmt) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -196,9 +198,15 @@ Value Reader::ReadValue() {
 // ---------------------------------------------------------------------------
 // WalWriter
 
+Status FailStop::Error(const std::string& action) const {
+  return Status::Unavailable(
+      action + " rejected: database is in read-only mode after a storage "
+      "fault (" + cause() + "); retry after TryHeal()");
+}
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     Vfs* vfs, const std::string& path, uint64_t epoch, uint64_t resume_offset,
-    const DurabilityOptions& options, Stats* stats,
+    const DurabilityOptions& options, const WalSinks& sinks,
     const std::vector<std::pair<std::string, uint16_t>>* table_ids) {
   int err = 0;
   std::unique_ptr<VfsFile> file = vfs->Open(path, Vfs::OpenMode::kWrite, &err);
@@ -211,7 +219,10 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   w->path_ = path;
   w->epoch_ = epoch;
   w->options_ = options;
-  w->stats_ = stats;
+  w->sinks_ = sinks;
+  w->commit_hist_ = sinks.metrics->GetHistogram("wal.commit_unit");
+  w->fsync_hist_ = sinks.metrics->GetHistogram("wal.fsync");
+  w->batch_hist_ = sinks.metrics->GetHistogram("wal.batch_commits");
   if (resume_offset > 0 && table_ids != nullptr) {
     for (const auto& [name, id] : *table_ids) {
       w->table_ids_.emplace(name, id);
@@ -236,14 +247,13 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
       }
     }
     w->file_size_ = kWalHeaderSize;
-    w->dirty_ = true;
   } else {
     if ((err = w->file_->Seek(resume_offset)) != 0) {
       return ErrnoStatus("cannot seek WAL", path, err);
     }
     w->file_size_ = resume_offset;
-    w->dirty_ = true;
   }
+  w->dirty_ = true;
   // The reset itself (truncation of the old log + the fresh header) must be
   // durable before any commit unit can claim to be: power loss after an
   // unsynced checkpoint reset could persist the new-epoch header over the
@@ -256,14 +266,49 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   // The prefix up to here was either just fsynced or (kNone) validated by
   // replay; either way it is the newest boundary known to be on disk.
   w->synced_size_ = w->file_size_;
+  if (options.sync_mode == SyncMode::kBatched) {
+    sinks.flusher_watchdog->Start();
+    w->flusher_ = std::jthread(
+        [raw = w.get()](std::stop_token stop) { raw->RunFlusher(stop); });
+  }
   return w;
 }
 
 WalWriter::~WalWriter() {
+  StopFlusher();
   if (file_ != nullptr) (void)file_->Close();
-  if (mem_ != nullptr && charged_pending_ != 0) {
-    mem_->Release(MemoryAccountant::kWalPending, charged_pending_);
+  sinks_.mem->Release(MemoryAccountant::kWalPending, charged_pending_);
+}
+
+void WalWriter::RunFlusher(std::stop_token stop) {
+  trace::SetCurrentThreadName("wal-flusher");
+  const uint64_t window_ns =
+      static_cast<uint64_t>(options_.group_commit_window_us) * 1000;
+  // Occupancy of the group-commit window: how much of each period the
+  // flusher spent inside Sync (100 ≈ fsync saturates the window and
+  // commits start seeing un-amortized latency).
+  Histogram* occupancy =
+      sinks_.metrics->GetHistogram("wal.window_occupancy_pct");
+  std::mutex mu;
+  std::condition_variable_any cv;
+  std::unique_lock<std::mutex> lock(mu);
+  while (!cv.wait_for(lock, stop, std::chrono::nanoseconds(window_ns),
+                      [&stop] { return stop.stop_requested(); })) {
+    // A fail-stopped log is never synced again; the missing heartbeats
+    // are what the watchdog reports.
+    if (sinks_.fail->tripped()) continue;
+    const uint64_t t0 = MonotonicNanos();
+    Status synced = Sync();
+    occupancy->Record((MonotonicNanos() - t0) * 100 / window_ns);
+    if (synced.ok()) sinks_.flusher_watchdog->Beat();
   }
+}
+
+void WalWriter::StopFlusher() {
+  if (!flusher_.joinable()) return;
+  flusher_.request_stop();
+  flusher_.join();
+  sinks_.flusher_watchdog->Stop();
 }
 
 void WalWriter::TruncatePending(const Mark& m) {
@@ -361,7 +406,7 @@ uint16_t WalWriter::TableId(const std::string& name) {
     // wrapped id would alias an earlier table and corrupt replay silently.
     // CommitPending surfaces the error at the next unit boundary;
     // checkpointing opens a fresh file with an empty dictionary.
-    MarkBroken("per-file table-id space exhausted");
+    sinks_.fail->Trip("per-file table-id space exhausted");
     return 0xFFFF;
   }
   uint16_t id = next_table_id_++;
@@ -435,15 +480,10 @@ void WalWriter::PendDdl(std::string_view sql) {
 
 Status WalWriter::CommitPending(int64_t next_id) {
   if (pending_.empty()) return Status::OK();
-  if (broken()) {
-    std::string cause = broken_cause();
-    return Status::Internal(
-        "WAL writer is fail-stopped (" +
-        (cause.empty() ? std::string("unknown cause") : cause) +
-        "); the on-disk log ends at the last fully persisted unit — reopen "
-        "or heal the database to resume");
-  }
-  const uint64_t t0 = commit_hist_ != nullptr ? MonotonicNanos() : 0;
+  // The on-disk log ends at the last fully persisted unit; nothing may
+  // follow it until a reopen.
+  if (sinks_.fail->tripped()) return sinks_.fail->Error("commit");
+  const uint64_t t0 = MonotonicNanos();
   // The commit unit is a span of its own (child of the enclosing statement
   // or txn span); the fsync that persists it — inline under kCommit, on the
   // flusher thread under kBatched — becomes its child via sync_handoff_.
@@ -470,7 +510,7 @@ Status WalWriter::CommitPending(int64_t next_id) {
       // silently drop every unit written after it.
       (void)file_->Truncate(file_size_);
       (void)file_->Seek(file_size_);
-      MarkBroken(write_status.message());
+      sinks_.fail->Trip(write_status.message());
       pending_.clear();
       SyncPendingCharge();
       pending_records_ = 0;
@@ -481,8 +521,8 @@ Status WalWriter::CommitPending(int64_t next_id) {
       return write_status;
     }
     file_size_ += pending_.size();
-    stats_->wal_appends += pending_records_;
-    stats_->wal_bytes += pending_.size();
+    sinks_.stats->wal_appends += pending_records_;
+    sinks_.stats->wal_bytes += pending_.size();
     pending_.clear();
     SyncPendingCharge();
     pending_records_ = 0;
@@ -504,16 +544,12 @@ Status WalWriter::CommitPending(int64_t next_id) {
         break;
     }
   }
-  if (commit_hist_ != nullptr) {
-    const uint64_t dur = MonotonicNanos() - t0;
-    commit_hist_->Record(dur);
-    if (events_ != nullptr) {
-      TraceEvent ev{TraceEvent::Kind::kWalUnit, t0, dur, unit_records,
-                    unit_bytes, nullptr};
-      unit_span.Annotate(&ev);
-      events_->Record(ev);
-    }
-  }
+  const uint64_t dur = MonotonicNanos() - t0;
+  commit_hist_->Record(dur);
+  TraceEvent ev{TraceEvent::Kind::kWalUnit, t0, dur, unit_records, unit_bytes,
+                nullptr};
+  unit_span.Annotate(&ev);
+  sinks_.events->Record(ev);
   return Status::OK();
 }
 
@@ -524,7 +560,7 @@ Status WalWriter::Sync() {
 
 Status WalWriter::SyncLocked() {
   if (!dirty_) return Status::OK();
-  const uint64_t t0 = fsync_hist_ != nullptr ? MonotonicNanos() : 0;
+  const uint64_t t0 = MonotonicNanos();
   const uint64_t batch = commits_since_sync_;
   if (int err = file_->Sync(); err != 0) {
     // Fail-stop on fsync failure too: the kernel may have DROPPED the dirty
@@ -532,7 +568,7 @@ Status WalWriter::SyncLocked() {
     // may be missing from disk — letting later units commit "successfully"
     // behind the hole would break the committed-prefix recovery guarantee.
     Status s = ErrnoStatus("cannot fsync WAL", path_, err);
-    MarkBroken(s.message());
+    sinks_.fail->Trip(s.message());
     return s;
   }
   dirty_ = false;
@@ -540,25 +576,22 @@ Status WalWriter::SyncLocked() {
   const trace::Handoff from_unit = sync_handoff_;
   sync_handoff_ = trace::Handoff{};
   synced_size_.store(file_size_, std::memory_order_release);
-  ++stats_->wal_fsyncs;
-  if (batch_hist_ != nullptr && batch > 0) batch_hist_->Record(batch);
-  if (fsync_hist_ != nullptr) {
-    const uint64_t dur = MonotonicNanos() - t0;
-    fsync_hist_->Record(dur);
-    if (events_ != nullptr) {
-      // `a` = group-commit batch size (units this fsync persisted). The
-      // span adopts the last unit's handoff, so under kBatched the trace
-      // carries a writer->flusher flow edge.
-      trace::SpanScope fsync_span{from_unit};
-      TraceEvent ev{TraceEvent::Kind::kFsync, t0, dur, batch, 0, nullptr};
-      fsync_span.Annotate(&ev);
-      events_->Record(ev);
-    }
-  }
+  ++sinks_.stats->wal_fsyncs;
+  if (batch > 0) batch_hist_->Record(batch);
+  const uint64_t dur = MonotonicNanos() - t0;
+  fsync_hist_->Record(dur);
+  // `a` = group-commit batch size (units this fsync persisted). The span
+  // adopts the last unit's handoff, so under kBatched the trace carries a
+  // writer->flusher flow edge.
+  trace::SpanScope fsync_span{from_unit};
+  TraceEvent ev{TraceEvent::Kind::kFsync, t0, dur, batch, 0, nullptr};
+  fsync_span.Annotate(&ev);
+  sinks_.events->Record(ev);
   return Status::OK();
 }
 
 Status WalWriter::Close() {
+  StopFlusher();
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return Status::OK();
   Status s = SyncLocked();

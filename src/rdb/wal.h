@@ -5,14 +5,20 @@
 // does: rdb/txn.h logs one logical UNDO record per row mutation so an open
 // transaction can roll back; the WAL captures the matching REDO image (table
 // name + row id + values) so committed work survives a crash. Records are
-// serialized at mutation time into an in-memory pending buffer (the row data
-// may be gone by commit — e.g. a staged table dropped mid-unit), truncated
+// serialized at mutation time into an in-memory pending buffer (a later
+// statement of the same unit may overwrite or delete the row), truncated
 // on scope rollback in lockstep with the undo log, and written to the file
 // as ONE unit — data frames followed by a commit frame carrying the next-id
 // counter — when the outermost transaction commits (or, outside a
 // transaction, when a top-level statement finishes, so autocommit writes and
 // the bulk-load API persist too). Only whole units ever reach the file: a
 // crash can tear the tail of the last write(), never interleave units.
+//
+// The writer owns its fsync policy end to end: inline per unit under
+// kCommit, and under kBatched a group-commit flusher thread ("wal-flusher")
+// that Open starts and Close or the destructor joins before the file
+// closes. Every failure — a torn append, a failed fsync on either thread —
+// trips the FailStop it was opened with.
 //
 // File format (little-endian):
 //   header:  "XUPDWAL1" (8 bytes) | u32 format version | u64 epoch
@@ -47,8 +53,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -56,6 +64,7 @@
 
 #include "common/metrics.h"
 #include "common/result.h"
+#include "rdb/governance.h"
 #include "rdb/stats.h"
 #include "rdb/value.h"
 #include "rdb/vfs.h"
@@ -82,8 +91,9 @@ const char* ToString(SyncMode mode);
 struct DurabilityOptions {
   SyncMode sync_mode = SyncMode::kCommit;
   /// kBatched: the background group-commit flusher's fsync period in
-  /// microseconds. Power loss can drop at most the acknowledged commit
-  /// units of the last un-fsynced window (plus the one fsync in flight).
+  /// microseconds (Database::Open raises values below 1 to 1). Power loss
+  /// can drop at most the acknowledged commit units of the last un-fsynced
+  /// window (plus the one fsync in flight).
   int group_commit_window_us = 2000;
   /// Filesystem to run all durable I/O through; null means Vfs::Default().
   /// Tests interpose a FaultVfs here (rdb/vfs.h).
@@ -132,6 +142,56 @@ class Reader {
 
 // --- writer ----------------------------------------------------------------
 
+/// The set-once fail-stop state of one durable Database: a flag plus the
+/// first cause (operation + path + symbolic errno). Any thread may trip it
+/// — the writer thread on a failed append or checkpoint reset, the
+/// group-commit flusher on a failed fsync — and any thread may read it.
+/// While it is tripped the WAL accepts no unit and the Database is
+/// read-only; only a successful reopen (TryHeal) clears it.
+class FailStop {
+ public:
+  /// Trips the state; a later cause never replaces the first (root) one.
+  void Trip(std::string cause) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (tripped_.load(std::memory_order_relaxed)) return;
+    cause_ = std::move(cause);
+    tripped_.store(true, std::memory_order_release);
+  }
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    cause_.clear();
+    tripped_.store(false, std::memory_order_release);
+  }
+  bool tripped() const { return tripped_.load(std::memory_order_acquire); }
+  /// The first cause; empty while not tripped.
+  std::string cause() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cause_;
+  }
+  /// kUnavailable naming the first cause, for a rejected write path.
+  Status Error(const std::string& action) const;
+
+ private:
+  std::atomic<bool> tripped_{false};
+  mutable std::mutex mu_;
+  std::string cause_;  ///< guarded by mu_.
+};
+
+/// Where a WalWriter reports: event counters, the pending-buffer memory
+/// charge (mem.wal_pending; the accountant's wal_pending_limit is the
+/// bounded-buffer watermark statement polls enforce), the fail-stop state,
+/// timings (wal.commit_unit, wal.fsync, wal.batch_commits — fsync batch
+/// size — and, under kBatched, wal.window_occupancy_pct) with their trace
+/// events, and the flusher's watchdog. All must outlive the writer.
+struct WalSinks {
+  Stats* stats = nullptr;
+  MemoryAccountant* mem = nullptr;
+  FailStop* fail = nullptr;
+  MetricsRegistry* metrics = nullptr;
+  EventLog* events = nullptr;
+  Watchdog* flusher_watchdog = nullptr;
+};
+
 class WalWriter {
  public:
   /// Opens (creating if needed) the WAL at `path` for appending. The file is
@@ -142,12 +202,15 @@ class WalWriter {
   /// resuming an existing log (`resume_offset > 0`): the kept prefix
   /// already carries table-def records for those names, so the writer must
   /// not re-emit them under fresh ids. A reset (`resume_offset == 0`)
-  /// starts with an empty dictionary.
+  /// starts with an empty dictionary. Under kBatched the group-commit
+  /// flusher starts once the file is ready.
   static Result<std::unique_ptr<WalWriter>> Open(
       Vfs* vfs, const std::string& path, uint64_t epoch, uint64_t resume_offset,
-      const DurabilityOptions& options, Stats* stats,
+      const DurabilityOptions& options, const WalSinks& sinks,
       const std::vector<std::pair<std::string, uint16_t>>* table_ids =
           nullptr);
+  /// Joins the flusher and closes the file WITHOUT a final fsync (a
+  /// fail-stopped writer must not claim its unsynced bytes; Close syncs).
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -182,9 +245,9 @@ class WalWriter {
   void TruncatePending(const Mark& m);
   bool pending_empty() const { return pending_.empty(); }
 
-  // Record appends. Insert/update serialize the row data NOW (the values or
-  // even the Table may be gone by commit time); all stay in memory until
-  // CommitPending.
+  // Record appends. Insert/update serialize the row data NOW (a later
+  // statement of the unit may change the row again); all stay in memory
+  // until CommitPending.
   void PendInsert(const Table& table, size_t rowid);
   void PendDelete(const Table& table, size_t rowid);
   void PendUpdate(const Table& table, size_t rowid, int column,
@@ -193,65 +256,24 @@ class WalWriter {
 
   /// Appends the commit frame (carrying the database's next-id counter),
   /// writes the whole unit to the file with one write, and fsyncs according
-  /// to the sync mode. No-op when nothing is pending. (Rollback — outermost
-  /// or savepoint — discards pending records via TruncatePending; only
-  /// committed units ever reach this call.)
+  /// to the sync mode. No-op when nothing is pending; kUnavailable once the
+  /// fail-stop state is tripped. (Rollback — outermost or savepoint —
+  /// discards pending records via TruncatePending; only committed units
+  /// ever reach this call.)
   Status CommitPending(int64_t next_id);
 
-  /// Fail-stop this writer: every later CommitPending of a non-empty unit
-  /// returns an error (reads — which never have pending redo — are
-  /// unaffected). Used when the WAL file could not be reset after a
-  /// checkpoint, so durable writes fail loudly instead of silently
-  /// diverging from disk. The first cause is kept for diagnostics (the
-  /// Database surfaces it in read-only mode). Safe from any thread (the
-  /// group-commit flusher fail-stops on fsync failure; the writer
-  /// discovers it at its next commit boundary).
-  void MarkBroken(std::string cause) {
-    std::lock_guard<std::mutex> lock(broken_mu_);
-    if (broken_cause_.empty()) broken_cause_ = std::move(cause);
-    broken_.store(true, std::memory_order_release);
-  }
-  bool broken() const { return broken_.load(std::memory_order_acquire); }
-  /// Human-readable description of the first failure that fail-stopped this
-  /// writer (operation + path + symbolic errno); empty when not broken.
-  std::string broken_cause() const {
-    std::lock_guard<std::mutex> lock(broken_mu_);
-    return broken_cause_;
-  }
-
-  /// Wires the owning Database's observability sinks in after Open (each
-  /// re-open after checkpoint re-attaches): CommitPending records its wall
-  /// time into `commit_hist` plus a kWalUnit event, Sync records fsync time
-  /// into `fsync_hist` plus a kFsync event and the number of commit units
-  /// the fsync covered into `batch_hist` (group-commit batch size). All may
-  /// be null (detached writer, e.g. the TryHeal probe) — timing is skipped
-  /// entirely then.
-  void AttachMetrics(Histogram* commit_hist, Histogram* fsync_hist,
-                     Histogram* batch_hist, EventLog* events) {
-    commit_hist_ = commit_hist;
-    fsync_hist_ = fsync_hist;
-    batch_hist_ = batch_hist;
-    events_ = events;
-  }
-
-  /// Wires the Database's memory accountant: the pending redo buffer's
-  /// bytes charge to mem.wal_pending as records are pended and release when
-  /// a unit commits (or rolls back). The accountant's wal_pending_limit is
-  /// the bounded-buffer watermark — once the charge crosses it, statement
-  /// governance polls (ExecContext::PollGovernance) fail the unit cleanly
-  /// with kResourceExhausted instead of letting the buffer grow unbounded.
-  /// Writer thread only, like the pending buffer itself.
-  void set_accountant(MemoryAccountant* mem) { mem_ = mem; }
-
-  /// fsync now if anything written is unsynced. Safe from any thread —
-  /// this is the group-commit flusher's entry point.
+  /// fsync now if anything written is unsynced. Safe from any thread.
   Status Sync();
-  /// Sync + close the file descriptor. Pending (uncommitted) records are
-  /// discarded — only committed units ever persist.
+  /// Joins the flusher, then Sync + close the file descriptor. Pending
+  /// (uncommitted) records are discarded — only committed units persist.
   Status Close();
 
  private:
   WalWriter() = default;
+  /// The group-commit loop (kBatched): fsyncs every group_commit_window_us
+  /// until stop is requested; skips a fail-stopped log.
+  void RunFlusher(std::stop_token stop);
+  void StopFlusher();
   /// Sync with mu_ already held (CommitPending's kCommit inline fsync).
   Status SyncLocked();
   /// In-place framing: reserves the 8-byte length+CRC header in pending_,
@@ -273,12 +295,13 @@ class WalWriter {
   /// after every append/truncate/flush of the pending buffer (writer
   /// thread only, like the buffer).
   void SyncPendingCharge() {
-    if (mem_ == nullptr) return;
     const size_t now = pending_.size();
     if (now > charged_pending_) {
-      mem_->Charge(MemoryAccountant::kWalPending, now - charged_pending_);
+      sinks_.mem->Charge(MemoryAccountant::kWalPending,
+                         now - charged_pending_);
     } else if (now < charged_pending_) {
-      mem_->Release(MemoryAccountant::kWalPending, charged_pending_ - now);
+      sinks_.mem->Release(MemoryAccountant::kWalPending,
+                          charged_pending_ - now);
     }
     charged_pending_ = now;
   }
@@ -287,7 +310,10 @@ class WalWriter {
   std::string path_;
   uint64_t epoch_ = 0;
   DurabilityOptions options_;
-  Stats* stats_ = nullptr;
+  WalSinks sinks_;
+  Histogram* commit_hist_ = nullptr;
+  Histogram* fsync_hist_ = nullptr;
+  Histogram* batch_hist_ = nullptr;
   std::string pending_;
   uint64_t pending_records_ = 0;
   /// Per-file table-name dictionary (see TableId).
@@ -296,11 +322,6 @@ class WalWriter {
   /// Defs pended but not yet committed: (name, id, frame offset in
   /// pending_), offset-ascending — TruncatePending drops a suffix.
   std::vector<std::tuple<std::string, uint16_t, size_t>> pending_defs_;
-  /// Observability sinks (see AttachMetrics); null = detached.
-  Histogram* commit_hist_ = nullptr;
-  Histogram* fsync_hist_ = nullptr;
-  Histogram* batch_hist_ = nullptr;
-  EventLog* events_ = nullptr;
   /// Guards the file descriptor and its byte-count state (file_size_,
   /// dirty_, commits_since_sync_) against the group-commit flusher thread,
   /// which calls Sync() concurrently with the writer's CommitPending.
@@ -322,17 +343,10 @@ class WalWriter {
   /// disk is guaranteed to retain across power loss (committed_bytes()).
   /// Atomic so scrub/status paths read it without the file lock.
   std::atomic<uint64_t> synced_size_{0};
-  /// Set when an append failed mid-write: the writer refuses further
-  /// commits so the on-disk log always ends at a unit boundary. The flag
-  /// is atomic (flusher sets it on fsync failure); the cause string has
-  /// its own lock.
-  std::atomic<bool> broken_{false};
-  mutable std::mutex broken_mu_;
-  std::string broken_cause_;  ///< guarded by broken_mu_.
-  /// Memory accountant (null = unaccounted) and the mem.wal_pending bytes
-  /// currently charged for pending_. Writer thread only.
-  MemoryAccountant* mem_ = nullptr;
+  /// mem.wal_pending bytes currently charged for pending_. Writer only.
   size_t charged_pending_ = 0;
+  /// The group-commit flusher (kBatched only; not joinable otherwise).
+  std::jthread flusher_;
 };
 
 // --- recovery --------------------------------------------------------------

@@ -218,6 +218,27 @@ TEST(MvccTest, ReaderPlanCacheTracksDdl) {
   EXPECT_EQ(ReaderCount(rs->get(), "SELECT SUM(v) FROM t"), 8);
 }
 
+TEST(MvccTest, ReaderStatementCacheIsBounded) {
+  rdb::Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER)");
+  auto rs = db.OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  const std::string first = "SELECT COUNT(*) FROM t";
+  EXPECT_EQ(ReaderCount(rs->get(), first), 0);
+  // 128 more distinct texts push the first one out of the session's cache.
+  for (int i = 0; i < 128; ++i) {
+    ASSERT_TRUE((*rs)->ExecuteQuery("SELECT id FROM t WHERE id = " +
+                                    std::to_string(i))
+                    .ok());
+  }
+  const uint64_t parses = (*rs)->stats().sql_parses;
+  EXPECT_EQ(ReaderCount(rs->get(), first), 0);
+  EXPECT_EQ((*rs)->stats().sql_parses, parses + 1);
+  // The most recent texts are still cached.
+  ASSERT_TRUE((*rs)->ExecuteQuery("SELECT id FROM t WHERE id = 127").ok());
+  EXPECT_EQ((*rs)->stats().sql_parses, parses + 1);
+}
+
 TEST(MvccTest, ReaderQueriesWithPredicatesJoinsAndParams) {
   rdb::Database db;
   Must(&db, "CREATE TABLE a (id INTEGER, bid INTEGER)");

@@ -8,11 +8,13 @@
 // state — element tables, hash indexes, tombstones, next-id and the ASR.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/store.h"
@@ -349,6 +351,97 @@ TEST_F(RdbRecoveryTest, DirectScratchTablesAreEphemeral) {
   ASSERT_TRUE(db2.Open(dir_.path()).ok());
   EXPECT_EQ(db2.FindTable("scratch"), nullptr);
   EXPECT_EQ(Count(&db2), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: the WAL writer owns its flusher, and a failed group fsync
+// fail-stops the database exactly like a failed append
+
+constexpr int kWindowUs = 2000;
+
+rdb::DurabilityOptions BatchedOptions(rdb::FaultVfs* fault) {
+  rdb::DurabilityOptions opts;
+  opts.sync_mode = rdb::SyncMode::kBatched;
+  opts.group_commit_window_us = kWindowUs;
+  opts.vfs = fault;
+  return opts;
+}
+
+/// Polls `done` once per group-commit window for up to `windows` windows.
+bool WithinWindows(int windows, const std::function<bool()>& done) {
+  for (int i = 0; i < windows && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(kWindowUs));
+  }
+  return done();
+}
+
+uint64_t FsyncCount(const rdb::Database& db) {
+  return db.metrics().GetHistogram("wal.fsync")->count();
+}
+
+std::string HealthField(rdb::Database* db, const std::string& field) {
+  auto rows = db->ExecuteQuery("SHOW HEALTH");
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  if (!rows.ok()) return "";
+  for (const auto& row : rows->rows) {
+    if (row[0].AsString() == field) return std::string(row[1].AsString());
+  }
+  return "";
+}
+
+TEST_F(RdbRecoveryTest, FailedGroupFsyncEngagesReadOnlyAndHeals) {
+  rdb::FaultVfs fault(rdb::Vfs::Default());
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir_.path(), BatchedOptions(&fault)).ok());
+  Must(&db, "CREATE TABLE t (id INTEGER, name VARCHAR)");
+  Must(&db, "INSERT INTO t VALUES (1, 'a')");
+  // Wait until a group fsync has covered everything committed so far, so
+  // the armed fault below lands on the next unit's append (op 1, passes)
+  // and then on the flusher's fsync of it (op 2, EIO).
+  const uint64_t synced = FsyncCount(db);
+  ASSERT_TRUE(WithinWindows(25, [&] { return FsyncCount(db) > synced; }));
+  fault.ArmFault(rdb::FaultVfs::FaultKind::kEio, 2, "wal");
+  Must(&db, "INSERT INTO t VALUES (2, 'b')");
+
+  // No statement runs until the flusher has failed: read-only mode engages
+  // from the flusher thread itself.
+  EXPECT_TRUE(WithinWindows(25, [&] { return db.read_only(); }));
+  EXPECT_EQ(HealthField(&db, "read_only"), "1");
+  const std::string cause = db.health().cause;
+  EXPECT_NE(cause.find("cannot fsync WAL"), std::string::npos) << cause;
+  EXPECT_NE(cause.find("EIO"), std::string::npos) << cause;
+  Status rejected = db.Execute("INSERT INTO t VALUES (3, 'c')");
+  EXPECT_EQ(rejected.code(), StatusCode::kUnavailable) << rejected;
+
+  fault.ClearFault();
+  Status healed = db.TryHeal();
+  ASSERT_TRUE(healed.ok()) << healed;
+  EXPECT_FALSE(db.read_only());
+  EXPECT_EQ(HealthField(&db, "read_only"), "0");
+  Must(&db, "INSERT INTO t VALUES (3, 'c')");
+  EXPECT_EQ(Count(&db, "id = 3"), 1);
+}
+
+TEST_F(RdbRecoveryTest, FlusherSyncsCommitsAfterCheckpointAndHeal) {
+  rdb::FaultVfs fault(rdb::Vfs::Default());
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir_.path(), BatchedOptions(&fault)).ok());
+  Must(&db, "CREATE TABLE t (id INTEGER, name VARCHAR)");
+  // A blocking checkpoint replaces the writer, and its flusher with it.
+  ASSERT_TRUE(db.Checkpoint().ok());
+  uint64_t before = FsyncCount(db);
+  Must(&db, "INSERT INTO t VALUES (1, 'a')");
+  EXPECT_TRUE(WithinWindows(25, [&] { return FsyncCount(db) > before; }));
+
+  // So does a heal: fail-stop the writer on an append, heal, commit again.
+  fault.ArmFault(rdb::FaultVfs::FaultKind::kEio, 1, "wal");
+  EXPECT_FALSE(db.Execute("INSERT INTO t VALUES (2, 'b')").ok());
+  ASSERT_TRUE(db.read_only());
+  fault.ClearFault();
+  ASSERT_TRUE(db.TryHeal().ok());
+  before = FsyncCount(db);
+  Must(&db, "INSERT INTO t VALUES (3, 'c')");
+  EXPECT_TRUE(WithinWindows(25, [&] { return FsyncCount(db) > before; }));
 }
 
 // ---------------------------------------------------------------------------
