@@ -22,6 +22,17 @@ void SpinFor(double us, uint64_t deadline_ns = 0) {
   }
 }
 
+// Parses `sql_text` into a fresh (uncached) handle.
+Result<StatementHandle> ParseStatement(std::string_view sql_text) {
+  auto stmt = sql::ParseSql(sql_text);
+  if (!stmt.ok()) return stmt.status();
+  auto prepared = std::make_shared<PreparedStatement>();
+  prepared->sql = std::string(sql_text);
+  prepared->param_count = stmt.value().param_count;
+  prepared->stmt = std::move(stmt).value();
+  return StatementHandle(std::move(prepared));
+}
+
 }  // namespace
 
 std::string MultiRowInsertSql(std::string_view table, size_t columns,
@@ -468,13 +479,7 @@ Result<StatementHandle> Database::Prepare(std::string_view sql_text,
   }
   ++stats_.prepared_misses;
   ++stats_.sql_parses;
-  auto stmt = sql::ParseSql(sql_text);
-  if (!stmt.ok()) return stmt.status();
-  auto prepared = std::make_shared<PreparedStatement>();
-  prepared->sql = std::string(sql_text);
-  prepared->param_count = stmt.value().param_count;
-  prepared->stmt = std::move(stmt).value();
-  StatementHandle handle = std::move(prepared);
+  XUPD_ASSIGN_OR_RETURN(StatementHandle handle, ParseStatement(sql_text));
   // DDL is never cached: executing it would invalidate its own entry.
   if (cacheable && !IsDdl(handle->stmt)) statement_cache_.Insert(handle);
   return handle;
@@ -521,7 +526,9 @@ Result<ResultSet> Database::ExecuteQueryBound(std::string_view sql,
 }
 
 Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
-  if (durable && read_only()) return durability_.ReadOnlyError("CREATE TABLE");
+  if (durable && read_only()) {
+    return durability_.ReadOnlyError("CREATE TABLE");
+  }
   if (FindTable(schema.name()) != nullptr) {
     return Status::AlreadyExists("table '" + schema.name() + "' already exists");
   }
@@ -628,13 +635,7 @@ Result<ResultSet> ReaderSession::Run(std::string_view sql_text,
   StatementHandle cached = plan_cache_.Find(sql_text);
   if (cached == nullptr) {
     ++stats_.sql_parses;
-    auto parsed = sql::ParseSql(sql_text);
-    if (!parsed.ok()) return parsed.status();
-    auto prepared = std::make_shared<PreparedStatement>();
-    prepared->sql = std::string(sql_text);
-    prepared->param_count = parsed.value().param_count;
-    prepared->stmt = std::move(parsed).value();
-    cached = std::move(prepared);
+    XUPD_ASSIGN_OR_RETURN(cached, ParseStatement(sql_text));
     plan_cache_.Insert(cached);
   }
 
