@@ -25,7 +25,9 @@
 //                                          committed, replay that many ops
 //                                          on a fresh in-memory store, and
 //                                          compare every durable table +
-//                                          the next-id counter
+//                                          the next-id counter; prints
+//                                          slots_reused (inserts that took
+//                                          a tombstoned slot)
 //
 // The trick that makes verification exact: each op commits in ONE
 // transaction together with a bump of the ops counter row in the durable
@@ -299,6 +301,14 @@ int RunVerifier(const std::string& dir) {
       return 1;
     }
   }
+
+  // Both stores must have taken tombstoned slots: the in-memory replay of
+  // the committed ops, and WAL replay placing rows at reused row ids.
+  std::printf("verify: slots_reused=%llu (WAL replay: %llu)\n",
+              static_cast<unsigned long long>(
+                  expected.value()->stats().slots_reused),
+              static_cast<unsigned long long>(
+                  recovered.value()->stats().slots_reused));
 
   std::string got = DumpDurableState(*recovered.value()->db());
   std::string want = DumpDurableState(*expected.value()->db());

@@ -1,5 +1,7 @@
 #include "rdb/database.h"
 
+#include <algorithm>
+
 #include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "rdb/exec_node.h"
@@ -180,24 +182,17 @@ void Database::AdvanceEpochBoundary() {
   const uint64_t published = epochs_.Advance();
   epoch_published_gauge_->store(static_cast<int64_t>(published),
                                 std::memory_order_relaxed);
-  // Fast path: nothing retired, no version-buffer images, no reader
-  // pinned, and no stale lag to decay → the boundary cost stays the single
-  // atomic increment plus three relaxed gauge touches. The min-pinned slot
-  // scan runs only while it has something to observe (readers to measure
-  // lag against, garbage to reclaim, or a nonzero lag to decay back to 0).
-  const bool has_garbage =
-      epochs_.has_retired() || epochs_.version_entries > 0;
-  if (!has_garbage &&
-      epochs_.readers_gauge->load(std::memory_order_relaxed) == 0 &&
-      epochs_.lag_gauge->load(std::memory_order_relaxed) == 0) {
-    return;
-  }
+  // With no pin held MinPinned returns without a slot scan, so a boundary
+  // with no reader costs the increment, one pin-count load and a few
+  // relaxed stores. Every later pin lands at or above `published`, so the
+  // tombstones it published become reusable slots.
   const uint64_t min_pinned = epochs_.MinPinned();
+  epochs_.reuse_horizon = std::min(min_pinned, published);
   epochs_.lag_gauge->store(
       min_pinned == UINT64_MAX ? 0
                                : static_cast<int64_t>(published - min_pinned),
       std::memory_order_relaxed);
-  if (!has_garbage) return;
+  if (!epochs_.has_retired() && epochs_.version_entries == 0) return;
   epochs_.ReclaimBefore(min_pinned);
   uint64_t version_bytes = 0;
   if (epochs_.version_entries > 0) {
@@ -539,6 +534,7 @@ Result<Table*> Database::CreateTableDirect(TableSchema schema, bool durable) {
   table->set_interner(&interner_);
   table->set_epoch_manager(&epochs_);
   table->set_accountant(&mem_);
+  table->set_stats(&stats_);
   Table* raw = table.get();
   Catalog next = catalog();
   next.emplace(std::move(key), std::move(table));

@@ -69,6 +69,18 @@ class ReaderSession;
 //    freed only once no reader pins an epoch that could reach it, so reader
 //    scans never take a lock on the data path.
 //
+//  * Tombstoned row slots are reused. Each boundary also computes the
+//    reuse horizon: the smallest pinned epoch, or the published epoch when
+//    nothing is pinned (a pin count spares the slot scan then). An insert
+//    may overwrite a dead slot whose end epoch is at or below it — every
+//    current and future pin already sees it as dead, and a session never
+//    reads the cells of a slot it cannot see — and the new row is born at
+//    the write epoch, invisible to every current pin. A delete is never
+//    reused before its boundary publishes it, so undo finds its cells in
+//    place. The background checkpointer is the one reader of dead slots:
+//    while its capture is open, a reused durable slot parks its dead image
+//    in the version buffer, where SnapshotReadRow finds it.
+//
 //  * DDL is NOT snapshot-isolated, and it never waits for readers. The
 //    writer publishes the table catalog through one atomic pointer: CREATE
 //    and DROP of a table publish a new catalog version and retire the old
@@ -147,6 +159,7 @@ class Database {
 
   /// Online integrity scrub (SQL: CHECK INTEGRITY). Walks every table
   /// checking slab liveness against hash-index entries in both directions,
+  /// that every tombstoned slot is in the reuse queue with no index entry,
   /// id columns against the next-id counter, that the undo log is empty
   /// outside transactions, and re-walks the WAL and snapshot files' CRCs.
   /// Returns human-readable violations; empty means the database is clean.

@@ -294,6 +294,9 @@ Status Durability::CheckpointBackground() {
         "sessions in use)");
   }
   epochs.Pin(slot);
+  // Until the serializer returns, a durable slot the writer reuses parks
+  // its dead image for it.
+  epochs.capture_open.store(true, std::memory_order_relaxed);
   checkpoint_slot_ = slot;
   checkpoint_running_ = true;
   checkpoint_status_ = Status::OK();
@@ -312,13 +315,17 @@ Status Durability::CheckpointBackground() {
   // The thread reads only the capture (its tables stay alive under the
   // pin) and thread-safe state (metrics, events, the watchdog).
   checkpoint_thread_ = std::thread([this, capture = std::move(capture),
-                                    bg_handoff] {
+                                    bg_handoff, slot] {
     trace::SetCurrentThreadName("checkpoint");
     trace::SpanScope snapshot_span{bg_handoff};
     const uint64_t t0 = MonotonicNanos();
     checkpoint_watchdog_.Beat();
     Status s = WriteSnapshot(*db_, vfs_, SnapshotPath(dir_),
                              SnapshotTmpPath(dir_), capture);
+    // The tables are read: drop the pin now rather than at CheckpointWait,
+    // so reclamation and slot reuse do not wait for the join.
+    db_->epochs_.capture_open.store(false, std::memory_order_release);
+    db_->epochs_.Unpin(slot);
     checkpoint_status_ = s;
     if (s.ok()) {
       const uint64_t dur = MonotonicNanos() - t0;
@@ -337,7 +344,6 @@ Status Durability::CheckpointWait() {
   if (!checkpoint_running_) return Status::OK();
   checkpoint_thread_.join();
   checkpoint_running_ = false;
-  db_->epochs_.Unpin(checkpoint_slot_);
   db_->epochs_.ReleaseSlot(checkpoint_slot_);
   checkpoint_slot_ = -1;
   // A background-checkpoint failure is benign — the WAL was not truncated

@@ -19,9 +19,10 @@
 // can be executing inside an epoch that could reach it.
 //
 // The writer-side cost when no reader is pinned is one atomic increment
-// per commit boundary plus (only when garbage is queued) one pass over the
-// fixed slot array — the "epoch hooks are ~free" property the concurrent
-// read bench budget depends on.
+// and one pin-count load per commit boundary, with no pass over the fixed
+// slot array — the "epoch hooks are ~free" property the concurrent read
+// bench budget depends on. The same boundary computes the row-slot reuse
+// horizon (reuse_horizon below).
 #ifndef XUPD_RDB_EPOCH_H_
 #define XUPD_RDB_EPOCH_H_
 
@@ -85,14 +86,17 @@ class EpochManager {
   }
 
   void ReleaseSlot(int slot) {
-    slots_[slot].pinned.store(0, std::memory_order_release);
+    Unpin(slot);
     slots_[slot].in_use.store(false, std::memory_order_release);
   }
 
   /// Pins the current epoch into `slot` and returns it. The store-then-
   /// revalidate loop guarantees the pin is visible to every writer scan
-  /// after the next Advance (see file comment).
+  /// after the next Advance (see file comment). The pin count goes up
+  /// before the slot store, so a writer that reads a zero count after an
+  /// Advance knows every later pin lands at or above that epoch.
   uint64_t Pin(int slot) {
+    if (!IsPinned(slot)) pins_.fetch_add(1, std::memory_order_seq_cst);
     for (;;) {
       const uint64_t e = current_.load(std::memory_order_seq_cst);
       slots_[slot].pinned.store(e, std::memory_order_seq_cst);
@@ -104,8 +108,12 @@ class EpochManager {
     return slots_[slot].pinned.load(std::memory_order_relaxed) != 0;
   }
 
+  /// Drops the slot's pin (a no-op when it holds none). Any thread may
+  /// unpin a slot it owns.
   void Unpin(int slot) {
-    slots_[slot].pinned.store(0, std::memory_order_release);
+    if (slots_[slot].pinned.exchange(0, std::memory_order_acq_rel) != 0) {
+      pins_.fetch_sub(1, std::memory_order_seq_cst);
+    }
   }
 
   /// Publishes a new epoch (writer thread, at an outermost commit
@@ -115,8 +123,10 @@ class EpochManager {
   }
 
   /// Smallest pinned epoch, or UINT64_MAX when no reader is pinned. Must
-  /// be called after Advance for the reclamation argument to hold.
+  /// be called after Advance for the reclamation argument to hold. With no
+  /// pin held anywhere it returns without scanning the slots.
   uint64_t MinPinned() const {
+    if (pins_.load(std::memory_order_seq_cst) == 0) return UINT64_MAX;
     uint64_t min = UINT64_MAX;
     for (const Slot& s : slots_) {
       const uint64_t p = s.pinned.load(std::memory_order_seq_cst);
@@ -157,6 +167,22 @@ class EpochManager {
   /// Retirements still queued (waiting on a pinned reader to unpin).
   size_t retired_pending() const { return retired_.size(); }
 
+  /// Row-slot reuse horizon (writer thread only), refreshed at every
+  /// commit boundary by Database::AdvanceEpochBoundary: the smallest pinned
+  /// epoch, or the published epoch when nothing is pinned. A tombstoned
+  /// slot whose end epoch is at or below it is invisible to every current
+  /// and future pin, so Table::Insert may overwrite it. A delete stamps
+  /// end = write_epoch() > horizon, so no slot is reused before its delete
+  /// is published. 0 (before the first boundary) reuses nothing.
+  uint64_t reuse_horizon = 0;
+
+  /// True while a background checkpoint copies durable tables' slots —
+  /// dead ones included — through Table::SnapshotReadRow. The writer sets
+  /// it before the checkpoint thread starts; the thread clears it (release)
+  /// when its serializer returns. A durable slot reused while it is set
+  /// parks its dead image for the checkpointer (see Table::Insert).
+  std::atomic<bool> capture_open{false};
+
   /// Count of pre-update row images parked in table version buffers
   /// (maintained by Table; the writer consults it to decide whether a
   /// boundary needs a GC pass at all). Writer thread only.
@@ -189,6 +215,8 @@ class EpochManager {
   /// Epoch 1 is "everything loaded before the first boundary": snapshot /
   /// recovery rows get begin = 1 via RowEpochClamp, visible to every pin.
   std::atomic<uint64_t> current_{1};
+  /// Slots holding a pin (MinPinned's no-scan fast path).
+  std::atomic<int64_t> pins_{0};
   Slot slots_[kMaxReaders];
   std::vector<Garbage> retired_;  // writer thread only.
 };

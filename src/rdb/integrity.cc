@@ -1,11 +1,11 @@
 // Online integrity scrub (Database::VerifyIntegrity, SQL CHECK INTEGRITY).
 //
 // The scrub is strictly read-only: it cross-checks the in-memory structures
-// (row slabs vs hash indexes, next-id vs stored ids, undo log emptiness) and
-// re-walks the on-disk WAL and snapshot with the decoders recovery uses,
-// without installing anything — so it stays runnable while the database is
-// degraded to read-only mode, and tests can assert invariants right after an
-// injected storage fault.
+// (row slabs vs hash indexes, the slot reuse queue, next-id vs stored ids,
+// undo log emptiness) and re-walks the on-disk WAL and snapshot with the
+// decoders recovery uses, without installing anything — so it stays
+// runnable while the database is degraded to read-only mode, and tests can
+// assert invariants right after an injected storage fault.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -89,6 +89,37 @@ void VerifyTableIndexes(const Table& t, std::vector<std::string>* out) {
   }
 }
 
+// The reuse queue: an entry the next insert would not skip as stale names
+// a dead slot, and that slot must have no index entry (an insert into it
+// would otherwise leave a probe returning the new row under an old key).
+// Every dead slot must be queued, or no insert would ever take it again.
+void VerifyReuseQueue(const Table& t, std::vector<std::string>* out) {
+  const std::string& tname = t.schema().name();
+  std::vector<bool> indexed(t.capacity(), false);
+  for (const auto& index : t.indexes()) {
+    index->ForEachEntry([&](const Value&, size_t rowid) {
+      if (rowid < indexed.size()) indexed[rowid] = true;
+    });
+  }
+  std::vector<bool> queued(t.capacity(), false);
+  for (size_t rowid : t.reuse_queue()) {
+    if (rowid >= t.capacity() || t.is_live(rowid)) continue;  // stale
+    if (indexed[rowid] && !queued[rowid]) {
+      out->push_back("reuse queue of table '" + tname + "' holds slot " +
+                     std::to_string(rowid) +
+                     ", which an index still points at");
+    }
+    queued[rowid] = true;
+  }
+  for (size_t rowid = 0; rowid < t.capacity(); ++rowid) {
+    if (!t.is_live(rowid) && !queued[rowid]) {
+      out->push_back("tombstoned slot " + std::to_string(rowid) +
+                     " of table '" + tname +
+                     "' is missing from the reuse queue");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> Database::VerifyIntegrity() {
@@ -96,9 +127,11 @@ std::vector<std::string> Database::VerifyIntegrity() {
   const uint64_t t0 = MonotonicNanos();
   std::vector<std::string> violations;
 
-  // In-memory: slab liveness vs hash indexes, both directions.
+  // In-memory: slab liveness vs hash indexes, both directions, and the
+  // slot reuse queue.
   for (const auto& [key, table] : catalog()) {
     VerifyTableIndexes(*table, &violations);
+    VerifyReuseQueue(*table, &violations);
   }
 
   // next-id must stay ahead of every id the engine has handed out; a stale

@@ -65,9 +65,9 @@ Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
     // Every slot, live or tombstoned, with its cells: row ids are physical
     // addresses the WAL's redo records point at, so dead slots must keep
     // their positions. Exactly the slot count captured at the boundary:
-    // slots appended later are covered by WAL replay past
-    // capture.wal_offset, whose insert records assume rowid == slot count
-    // at this point.
+    // slots filled later — appended, or tombstones reused — are covered by
+    // WAL replay past capture.wal_offset, whose insert records name the
+    // row id they took.
     binio::PutU64(&out, static_cast<uint64_t>(slot_count));
     for (size_t rowid = 0; rowid < slot_count; ++rowid) {
       bool live = false;

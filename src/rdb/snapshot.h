@@ -63,10 +63,12 @@ inline std::string WalPath(const std::string& dir) {
 /// offset, the exact slot count and index definitions per durable table,
 /// and the trigger texts. A blocking checkpoint serializes it inline and
 /// then resets the WAL; a background one serializes it on its own thread
-/// while the writer keeps committing — slots appended after the capture
-/// live past `wal_offset` in the WAL, so serializing exactly the captured
-/// counts keeps replay's append-only rowid invariant aligned. The
-/// serializer reads nothing else the writer may change; later DDL reaches
+/// while the writer keeps committing — slots filled after the capture
+/// (appended, or reused tombstones) live past `wal_offset` in the WAL,
+/// whose insert records carry their row ids, so serializing exactly the
+/// captured counts lines replay up with the snapshot. The serializer reads
+/// nothing else the writer may change (a dead slot reused meanwhile keeps
+/// its image readable, see EpochManager::capture_open); later DDL reaches
 /// the snapshot through WAL replay.
 struct CheckpointCapture {
   uint64_t pin_epoch = 0;

@@ -95,6 +95,10 @@ class RelaxedU64 {
   /* Index probes (hash lookups). */                                         \
   X(index_probes, "probes")                                                  \
   X(rows_inserted, "ins")                                                    \
+  /* Inserts that took a tombstoned slot no snapshot could see any more      \
+     instead of appending one (Table::Insert, and WAL replay of such an      \
+     insert) — the slab-growth the reuse queue saved. */                     \
+  X(slots_reused, "reused")                                                  \
   X(rows_deleted, "del")                                                     \
   X(rows_updated, "upd")                                                     \
   /* Transaction scopes opened (nested Begin = savepoint counts too). */     \

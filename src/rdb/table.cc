@@ -282,13 +282,54 @@ void Table::AppendRow(Row&& row, uint32_t begin, uint32_t end, uint64_t mod) {
                 std::memory_order_release);
 }
 
-Result<size_t> Table::Insert(Row row) {
-  if (row.size() != arity_) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " does not match table '" +
-        schema_.name() + "' (" + std::to_string(arity_) + ")");
+Status Table::CheckArity(const Row& row) const {
+  if (row.size() == arity_) return Status::OK();
+  return Status::InvalidArgument(
+      "row arity " + std::to_string(row.size()) + " does not match table '" +
+      schema_.name() + "' (" + std::to_string(arity_) + ")");
+}
+
+size_t Table::TakeReusableSlot() {
+  // No epoch manager: no boundary ever publishes a delete, so nothing is
+  // provably invisible (and UndoDelete must find its cells in place).
+  if (em_ == nullptr) return live_.size();
+  while (!reuse_queue_.empty()) {
+    const size_t rowid = reuse_queue_.front();
+    if (rowid < live_.size() && !live_[rowid]) {
+      // Entries run in end-epoch order: the first one a pin may still see
+      // ends the search.
+      if (RowMetaRef::End(meta(rowid).begin_end()) > em_->reuse_horizon) {
+        break;
+      }
+      reuse_queue_.pop_front();
+      return rowid;
+    }
+    reuse_queue_.pop_front();  // stale: revived, refilled, or truncated
   }
-  size_t rowid = live_.size();
+  return live_.size();
+}
+
+Result<size_t> Table::Insert(Row row) {
+  XUPD_RETURN_IF_ERROR(CheckArity(row));
+  const size_t rowid = TakeReusableSlot();
+  Place(rowid, std::move(row));
+  return rowid;
+}
+
+Status Table::InsertAt(size_t rowid, Row row) {
+  XUPD_RETURN_IF_ERROR(CheckArity(row));
+  if (rowid > live_.size() || (rowid < live_.size() && live_[rowid])) {
+    return Status::InvalidArgument(
+        "row id " + std::to_string(rowid) + " of table '" + schema_.name() +
+        "' is neither a tombstoned slot nor the next one (capacity " +
+        std::to_string(live_.size()) + ")");
+  }
+  // The slot's queue entry goes stale; TakeReusableSlot drops it later.
+  Place(rowid, std::move(row));
+  return Status::OK();
+}
+
+void Table::Place(size_t rowid, Row&& row) {
   if (interner_ != nullptr) {
     for (Value& v : row) interner_->InternInPlace(&v);
   }
@@ -296,12 +337,40 @@ Result<size_t> Table::Insert(Row row) {
     index->Insert(row[static_cast<size_t>(index->column())], rowid);
   }
   const uint64_t w = WriteEpoch();
-  AppendRow(std::move(row), RowEpochClamp(w), kRowEpochInf, w);
-  live_.push_back(true);
   ++live_count_;
   ++access_stats_.rows_inserted;
-  if (txn_ != nullptr) txn_->LogInsert(this, rowid);
-  return rowid;
+  if (rowid == live_.size()) {
+    AppendRow(std::move(row), RowEpochClamp(w), kRowEpochInf, w);
+    live_.push_back(true);
+    if (txn_ != nullptr) txn_->LogInsert(this, rowid);
+    return;
+  }
+  // Reuse. A reader session never reads the cells of a slot it cannot
+  // see, and the new row is born at w, invisible to every pin. A slot
+  // Insert takes is dead at or below the horizon, so no pin sees it either.
+  // Two readers remain: a pin may still see a tombstone no boundary has
+  // published (InsertAt: WAL replay, which TryHeal runs beside reader
+  // statements), and a background checkpoint copies dead slots. For them,
+  // park the old image and open the row's seqlock window first, exactly
+  // like an in-place update.
+  RowMetaRef m = meta(rowid);
+  const uint64_t old_begin_end = m.begin_end();
+  if (em_ != nullptr &&
+      (RowMetaRef::End(old_begin_end) > em_->reuse_horizon ||
+       (durable_ && em_->capture_open.load(std::memory_order_acquire)))) {
+    PrepareRowUpdate(rowid);
+  }
+  m.StoreMod(w);
+  m.StoreBeginEnd(RowEpochClamp(w), kRowEpochInf);
+  // Word-atomic stores (the checkpointer's seqlock copy may race them);
+  // `row` keeps the dead occupant's cells for the undo log.
+  Value* cells = mutable_row(rowid);
+  for (size_t c = 0; c < arity_; ++c) {
+    row[c] = std::move(row[c]).RacyPublishTo(cells + c);
+  }
+  live_[rowid] = true;
+  if (stats_ != nullptr) ++stats_->slots_reused;
+  if (txn_ != nullptr) txn_->LogReuse(this, rowid, &row, old_begin_end);
 }
 
 void Table::LoadSlot(Row row, bool live) {
@@ -311,6 +380,7 @@ void Table::LoadSlot(Row row, bool live) {
   // Snapshot/recovery rows predate every possible pin: born at epoch 1.
   // Dead slots get an empty [1, 1) interval — never visible, but their
   // positions (and values) are preserved for WAL redo addressing.
+  if (!live) reuse_queue_.push_back(live_.size());
   AppendRow(std::move(row), 1, live ? kRowEpochInf : 1, 1);
   live_.push_back(live);
   if (live) ++live_count_;
@@ -329,6 +399,7 @@ Status Table::Delete(size_t rowid) {
   meta(rowid).StoreEnd(RowEpochClamp(WriteEpoch()));
   live_[rowid] = false;
   --live_count_;
+  reuse_queue_.push_back(rowid);
   ++access_stats_.rows_deleted;
   if (txn_ != nullptr) txn_->LogDelete(this, rowid);
   return Status::OK();
@@ -394,6 +465,7 @@ void Table::Clear() {
   cap_rows_ = 0;
   live_.clear();
   live_count_ = 0;
+  reuse_queue_.clear();
   if (cells != nullptr) {
     RetireBuffer(cells, rows, /*destroy_values=*/true, charged);
   }
@@ -420,10 +492,29 @@ void Table::UndoInsert(size_t rowid) {
     live_.pop_back();
   } else {
     // Mid-undo of an interleaved multi-table scope: kill the row for every
-    // epoch (empty interval) but keep the slot.
+    // epoch (empty interval) but keep the slot, reusable once published.
     const uint32_t w = RowEpochClamp(WriteEpoch());
     meta(rowid).StoreBeginEnd(w, w);
+    reuse_queue_.push_back(rowid);
   }
+}
+
+void Table::UndoReuse(size_t rowid, Value* image) {
+  if (rowid >= live_.size() || !live_[rowid]) return;
+  Value* cells = mutable_row(rowid);
+  for (const auto& index : indexes_) {
+    index->Erase(cells[static_cast<size_t>(index->column())], rowid);
+  }
+  const auto old_begin_end = static_cast<uint64_t>(image[arity_].AsInt());
+  meta(rowid).StoreBeginEnd(static_cast<uint32_t>(old_begin_end),
+                            static_cast<uint32_t>(old_begin_end >> 32));
+  for (size_t c = 0; c < arity_; ++c) {
+    std::move(image[c]).RacyPublishTo(cells + c);
+  }
+  live_[rowid] = false;
+  --live_count_;
+  // It was the oldest reusable entry when Insert took it.
+  reuse_queue_.push_front(rowid);
 }
 
 void Table::UndoDelete(size_t rowid) {
@@ -431,6 +522,10 @@ void Table::UndoDelete(size_t rowid) {
   meta(rowid).StoreEnd(kRowEpochInf);
   live_[rowid] = true;
   ++live_count_;
+  // LIFO undo: the delete's queue entry is normally still the newest one.
+  if (!reuse_queue_.empty() && reuse_queue_.back() == rowid) {
+    reuse_queue_.pop_back();
+  }
   const Value* r = row(rowid);
   for (const auto& index : indexes_) {
     index->Insert(r[static_cast<size_t>(index->column())], rowid);
@@ -457,27 +552,26 @@ bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
   out->clear();
   for (int attempt = 0;; ++attempt) {
     // Visibility first: the begin/end pair is one untorn word, and during
-    // slot reuse (pop + re-insert) every transient value of `begin` is 0
-    // (meta mid-construction) or exceeds any pinned epoch, so an unborn row
-    // is rejected without ever touching its cells. A row born and ended at
-    // or before the pin is dead for good — its cells and mod word are
-    // final — so a caller asking for dead slots copies it through the same
-    // seqlock path. Acquire on the buffer pointer: a grow publishes the
-    // memcpy'd rows via the release store of `cells_`, and this load may
-    // observe a buffer newer than the one `filled_`'s acquire synchronized
-    // with.
+    // slot reuse (pop + re-insert, or an insert into a tombstoned slot)
+    // every transient value of `begin` is 0 (meta mid-construction) or
+    // exceeds any pinned epoch, so an unborn row is rejected without ever
+    // touching its cells. A row born and ended at or before the pin is dead
+    // for good at that pin, so a caller asking for dead slots copies it
+    // through the same seqlock path — and once an insert has reused the
+    // slot (begin > pin), from the dead image the reuse parked. Acquire on
+    // the buffer pointer: a grow publishes the memcpy'd rows via the
+    // release store of `cells_`, and this load may observe a buffer newer
+    // than the one `filled_`'s acquire synchronized with.
     const Value* cells = cells_.load(std::memory_order_acquire);
     const Value* slot = cells + rowid * stride_;
     RowMetaRef m(slot + arity_);
     const uint64_t begin_end = m.begin_end();
     const uint32_t begin = RowMetaRef::Begin(begin_end);
     const bool visible = RowMetaRef::Visible(begin_end, pin);
-    if (!visible && (live == nullptr || begin == 0 || begin > pin)) {
-      return false;
-    }
+    if (!visible && (live == nullptr || begin == 0)) return false;
     if (live != nullptr) *live = visible;
     const uint64_t m1 = m.mod_acquire();
-    if (m1 <= pin) {
+    if (begin <= pin && m1 <= pin) {
       // Optimistic seqlock copy: raw word loads, fence, revalidate, and
       // only then materialize owning Values (a torn heap pointer must
       // never reach a refcount).
@@ -518,10 +612,10 @@ bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
         return true;
       }
     }
-    // No entry can only mean the writer is between stamping `mod` and
-    // parking the pre-image becoming observable — retry resolves it. The
-    // attempt bound is sheer paranoia (treat the row as dead rather than
-    // spin forever on a logic bug).
+    // No entry can only mean the writer is between stamping `mod` (or,
+    // for a reused slot, `begin`) and parking the pre-image becoming
+    // observable — retry resolves it. The attempt bound is sheer paranoia
+    // (treat the row as dead rather than spin forever on a logic bug).
     if (attempt > 1000) return false;
   }
 }

@@ -4,9 +4,16 @@
 //
 //  * Rows live in ONE contiguous slab per table — `(arity + 1) * 16` bytes
 //    per row slot (16-byte compact Values, rdb/value.h, plus one trailing
-//    16-byte MVCC metadata slot), appended in rowid order. Scan/IndexProbe/
-//    Filter stream over cache-line-friendly memory and a row is addressed
-//    by one multiply (`slab + rowid * stride`), not a double indirection.
+//    16-byte MVCC metadata slot). Scan/IndexProbe/Filter stream over
+//    cache-line-friendly memory and a row is addressed by one multiply
+//    (`slab + rowid * stride`), not a double indirection.
+//
+//  * Slots are reused: an insert takes the oldest tombstoned slot that no
+//    snapshot can see any more (its end epoch is at or below the epoch
+//    manager's reuse horizon) and appends only when there is none, so
+//    under delete/insert churn the slab stays near the live row count. Row
+//    ids are still physical addresses — the WAL's insert records carry
+//    them, and replay places each row at its recorded id (InsertAt).
 //
 //  * HashIndex is a flat open-addressing table whose entries hold
 //    (hash, value, rowid) inline — no per-key map node, no per-entry set
@@ -26,6 +33,8 @@
 //    stamps begin = write_epoch (invisible until the boundary publishes
 //    it); Delete stamps end = write_epoch (still visible to older pins —
 //    the tombstoned values stay in the slot); rollback restores the stamps.
+//    A reused slot gets begin = mod = write_epoch like an appended one, so
+//    no current pin sees the new row.
 //
 //  * In-place column updates use a per-row seqlock: the first update of a
 //    row inside an epoch window parks a copy of the whole pre-image in the
@@ -45,6 +54,7 @@
 #define XUPD_RDB_TABLE_H_
 
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -270,10 +280,22 @@ class Table {
   /// pre-images to mem.version_buffers. Null = unaccounted (unit tests).
   void set_accountant(MemoryAccountant* mem) { mem_ = mem; }
 
+  /// Wires the Database's statistics: slot reuse counts to
+  /// Stats::slots_reused. Null = uncounted (unit tests).
+  void set_stats(Stats* stats) { stats_ = stats; }
+
   /// Number of row slots (live + tombstoned). Scans iterate this range.
   /// Writer-thread view; readers use SnapshotRowCount().
   size_t capacity() const { return live_.size(); }
   size_t live_count() const { return live_count_; }
+  /// Tombstoned slots (capacity() - live_count()).
+  size_t dead_count() const { return live_.size() - live_count_; }
+
+  /// The reuse queue: tombstoned row ids, oldest death first. Entries go
+  /// stale when their slot is revived or refilled by InsertAt; Insert skips
+  /// those lazily. Every dead slot has at least one entry. For the
+  /// integrity scrub.
+  const std::deque<size_t>& reuse_queue() const { return reuse_queue_; }
 
   bool is_live(size_t rowid) const { return live_[rowid]; }
   /// The row's columns, contiguous in the table slab. Valid until the next
@@ -306,12 +328,13 @@ class Table {
 
   /// Copies the version of row `rowid` visible at epoch `pin` into `out`
   /// (cleared, then exactly arity() values). Returns false when no version
-  /// of the row is visible at that epoch. With `live` non-null, a slot that
-  /// was already dead at `pin` is copied too — its cells are never written
-  /// again (no compaction, no reuse of a committed tombstone) — and `*live`
-  /// reports the slot's liveness; false then only means the slot was not
-  /// yet born at `pin`. `rowid` must be < a prior SnapshotRowCount()
-  /// result. Thread-safe against every writer mutation.
+  /// of the row is visible at that epoch. With `live` non-null (the
+  /// background checkpointer), a slot that was already dead at `pin` is
+  /// copied too — through the same seqlock, or from the dead image a reuse
+  /// parked while EpochManager::capture_open was set — and `*live` reports
+  /// the slot's liveness; false then only means the slot was not yet born
+  /// at `pin`. `rowid` must be < a prior SnapshotRowCount() result.
+  /// Thread-safe against every writer mutation.
   bool SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
                        bool* live = nullptr) const;
 
@@ -331,20 +354,26 @@ class Table {
   /// pre-images trimmed.
   size_t GcVersions(uint64_t min_pinned);
 
-  /// Appends a row (arity must match the schema). Returns its rowid.
+  /// Inserts a row (arity must match the schema) into the oldest reusable
+  /// tombstoned slot, or appends it. Returns its rowid.
   Result<size_t> Insert(Row row);
+
+  /// WAL replay: inserts `row` at `rowid`, which must be capacity() (an
+  /// append) or a tombstoned slot below it (a reuse).
+  Status InsertAt(size_t rowid, Row row);
 
   /// Snapshot-restore append (rdb/snapshot.cc): places `row` in the next
   /// slot with the given liveness, without undo/WAL logging or index
   /// maintenance — tombstoned slots keep their positions (row ids are
-  /// physical WAL addresses) and indexes are created after all slots load.
+  /// physical WAL addresses) and join the reuse queue in rowid order;
+  /// indexes are created after all slots load.
   void LoadSlot(Row row, bool live);
 
   /// Tombstones a row; index entries are removed.
   Status Delete(size_t rowid);
 
-  /// Truncates the table: every row slot (live and tombstoned) and all index
-  /// entries are discarded, resetting capacity() to 0. NOT transactional —
+  /// Truncates the table: every row slot (live and tombstoned), the reuse
+  /// queue and all index entries are discarded, resetting capacity() to 0. NOT transactional —
   /// no undo is logged and any undo records already held for this table
   /// become no-ops (their rowids fall out of range). For scratch tables.
   void Clear();
@@ -371,10 +400,16 @@ class Table {
 
   // --- rollback hooks (TransactionManager only; none of these log) --------
 
-  /// Reverts an Insert: removes index entries and kills the row. When the
-  /// row is still the newest slot (always true under LIFO undo) the slot is
-  /// popped, restoring capacity() too.
+  /// Reverts an appending Insert: removes index entries and kills the row.
+  /// When the row is still the newest slot (always true under LIFO undo)
+  /// the slot is popped, restoring capacity() too.
   void UndoInsert(size_t rowid);
+  /// Reverts an Insert into a reused slot: removes index entries and puts
+  /// back the dead image — `image` holds the old cells followed by the old
+  /// begin/end word (TransactionManager::LogReuse) — and its queue entry.
+  /// The mod word keeps the reuse's epoch: it is a seqlock sequence and
+  /// must not move backwards under a checkpointer's copy.
+  void UndoReuse(size_t rowid, Value* image);
   /// Reverts a Delete: revives the tombstoned row (its data is still in the
   /// slot) and re-adds its index entries.
   void UndoDelete(size_t rowid);
@@ -404,6 +439,14 @@ class Table {
   /// Ensures room for one more row, growing (and epoch-retiring the old
   /// buffer) as needed. Returns the cell pointer for the new row slot.
   Value* ReserveRowSlot();
+  Status CheckArity(const Row& row) const;
+  /// Pops the oldest reuse-queue entry whose slot is dead at or below the
+  /// reuse horizon (dropping stale entries on the way); capacity() when
+  /// there is none.
+  size_t TakeReusableSlot();
+  /// Inserts `row` at `rowid` — an append when it equals capacity(), else
+  /// into that tombstoned slot — with index, stats and undo/WAL upkeep.
+  void Place(size_t rowid, Row&& row);
   /// Appends `row` (already interned) as the next slot with the given
   /// MVCC stamps, publishing it to readers.
   void AppendRow(Row&& row, uint32_t begin, uint32_t end, uint64_t mod);
@@ -436,6 +479,11 @@ class Table {
   std::atomic<size_t> filled_{0};      ///< published (initialized) rows.
   std::vector<bool> live_;             ///< writer-only liveness view.
   size_t live_count_ = 0;
+  /// Writer-only reuse queue (see reuse_queue()): Delete pushes at the
+  /// back, so entries run in end-epoch order and Insert stops at the first
+  /// one still above the horizon.
+  std::deque<size_t> reuse_queue_;
+  Stats* stats_ = nullptr;
   /// Parked pre-images for rows updated in place while readers could be
   /// pinned; guarded by versions_mu_ (writer emplaces/GCs, readers look
   /// up on seqlock failure).

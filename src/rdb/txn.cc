@@ -48,6 +48,12 @@ void TransactionManager::UndoDownTo(size_t undo_start) {
       case UndoRecord::Kind::kInsert:
         rec.table->UndoInsert(rec.rowid);
         break;
+      case UndoRecord::Kind::kReuse: {
+        const size_t image = old_values_.size() - (rec.table->arity() + 1);
+        rec.table->UndoReuse(rec.rowid, old_values_.data() + image);
+        old_values_.resize(image);
+        break;
+      }
       case UndoRecord::Kind::kDelete:
         rec.table->UndoDelete(rec.rowid);
         break;

@@ -12,6 +12,8 @@
 // Undo is applied strictly LIFO, which keeps the records logical and small:
 //   insert  -> re-kill the inserted rowid (and pop it when it is still the
 //              newest slot, restoring table capacity too)
+//   reuse   -> an insert into a tombstoned slot: put the slot's dead image
+//              (cells and begin/end word) and its reuse-queue entry back
 //   delete  -> revive the tombstoned rowid (the row data is still in place)
 //              and re-add its hash-index entries
 //   update  -> write the old value back (index-maintaining)
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "rdb/schema.h"
 #include "rdb/stats.h"
 #include "rdb/value.h"
 #include "rdb/wal.h"
@@ -50,12 +53,13 @@ namespace xupd::rdb {
 class Table;
 
 /// One logical undo record. Kept trivially copyable and small (the hot
-/// delete/insert paths append one per row): kUpdate's old value lives in a
-/// parallel side vector whose entries correspond to the kUpdate records in
-/// log order — LIFO undo always consumes the vector from the back, so no
-/// index needs to be stored.
+/// delete/insert paths append one per row): kUpdate's old value and
+/// kReuse's dead slot image (arity cells, then the begin/end word as an
+/// Int) live in a parallel side vector, appended in log order — LIFO undo
+/// always consumes the vector from the back, so no index needs to be
+/// stored.
 struct UndoRecord {
-  enum class Kind : uint8_t { kInsert, kDelete, kUpdate };
+  enum class Kind : uint8_t { kInsert, kReuse, kDelete, kUpdate };
   Kind kind = Kind::kInsert;
   int column = 0;  ///< kUpdate only.
   Table* table = nullptr;
@@ -161,6 +165,18 @@ class TransactionManager {
     log_.Append({UndoRecord::Kind::kInsert, 0, table, rowid});
     ++stats_->undo_records;
   }
+  /// An insert into the tombstoned slot `rowid`: `dead_cells` holds the
+  /// slot's previous cells (moved out here when a scope is active) and
+  /// `old_begin_end` its previous begin/end word.
+  void LogReuse(Table* table, size_t rowid, Row* dead_cells,
+                uint64_t old_begin_end) {
+    if (wal_ != nullptr) WalInsert(table, rowid);
+    if (scopes_.empty()) return;
+    log_.Append({UndoRecord::Kind::kReuse, 0, table, rowid});
+    for (Value& v : *dead_cells) old_values_.push_back(std::move(v));
+    old_values_.push_back(Value::Int(static_cast<int64_t>(old_begin_end)));
+    ++stats_->undo_records;
+  }
   void LogDelete(Table* table, size_t rowid) {
     if (wal_ != nullptr) WalDelete(table, rowid);
     if (scopes_.empty()) return;
@@ -201,7 +217,8 @@ class TransactionManager {
   Stats* stats_;
   WalWriter* wal_ = nullptr;
   UndoLog log_;
-  /// Old values of kUpdate records, appended in log order (log_ indexes in).
+  /// Old values of kUpdate records and dead images of kReuse records,
+  /// appended in log order.
   std::vector<Value> old_values_;
   std::vector<Scope> scopes_;
 };

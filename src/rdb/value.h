@@ -227,9 +227,10 @@ class Value {
   }
 
   /// Moves *this into `*dst` with word-atomic stores (so a racing reader's
-  /// RacyLoadWords never tears) and releases dst's previous reference.
-  /// Writer-thread only; readers are fenced off by the row seqlock.
-  void RacyPublishTo(Value* dst) && {
+  /// RacyLoadWords never tears) and returns dst's previous value (dropping
+  /// the result releases its reference). Writer-thread only; readers are
+  /// fenced off by the row seqlock.
+  Value RacyPublishTo(Value* dst) && {
     uint64_t w[2];
     std::memcpy(w, raw_, sizeof(raw_));
     Value old;
@@ -238,7 +239,7 @@ class Value {
     std::atomic_ref<uint64_t>(words[0]).store(w[0], std::memory_order_relaxed);
     std::atomic_ref<uint64_t>(words[1]).store(w[1], std::memory_order_relaxed);
     raw_[kTagByte] = kTagNull;  // our reference now lives in *dst
-    // `old` releases dst's previous reference on scope exit.
+    return old;
   }
 
  private:

@@ -104,6 +104,9 @@ struct DurabilityOptions {
 
 namespace binio {
 
+/// CRC-32 of the WAL frames and the snapshot file: the IEEE 802.3
+/// polynomial, reflected (0xEDB88320), "123456789" -> 0xCBF43926; computed
+/// slicing-by-8.
 uint32_t Crc32(const void* data, size_t size);
 
 void PutU8(std::string* out, uint8_t v);
@@ -366,7 +369,8 @@ struct WalReplayResult {
 /// already hold the snapshot state of `snapshot_epoch`). Torn or corrupt
 /// frames end the log silently (crash semantics); a WAL whose epoch predates
 /// the snapshot is ignored; a bad header or a record that cannot be applied
-/// (e.g. an insert whose row id does not line up) is a hard error.
+/// (e.g. an insert aimed at a live slot or past the next one) is a hard
+/// error.
 /// `start_offset` (the snapshot's wal_offset, from an off-thread checkpoint
 /// that kept the WAL) marks the prefix already folded into the snapshot:
 /// frames before it are still decoded — the table-name dictionary and

@@ -4,6 +4,11 @@
 // the same document a native-tree execution produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <string>
+
 #include "engine/store.h"
 #include "test_util.h"
 #include "xml/serializer.h"
@@ -363,6 +368,53 @@ TEST(AsrTest, BulkDeleteRepairsLeftCompleteness) {
   ASSERT_TRUE(row.ok());
   ASSERT_EQ(row->rows.size(), 1u);
   EXPECT_EQ(row->rows[0][0].AsInt(), store->root_id());
+}
+
+// Slot reuse: delete+copy churn keeps every table's slab within its live
+// rows plus the rows one op inserts, whatever the strategy pair.
+void ExpectSlabsFlatUnderChurn(DeleteStrategy del, InsertStrategy ins) {
+  auto store = MakeStore(del, ins);
+  rdb::Database* db = store->db();
+  auto mary = store->SelectIds("Customer", "Name = 'Mary'");
+  ASSERT_TRUE(mary.ok() && !mary->empty());
+  const int64_t src = mary->front();
+  std::map<std::string, uint64_t> op_rows;  // most rows one op inserted
+  auto run_op = [&](const std::function<Status()>& op) {
+    std::map<std::string, uint64_t> before;
+    for (const std::string& name : db->TableNames()) {
+      before[name] = db->FindTable(name)->access_stats().rows_inserted;
+    }
+    Status s = op();
+    ASSERT_TRUE(s.ok()) << s;
+    for (const std::string& name : db->TableNames()) {
+      const uint64_t n =
+          db->FindTable(name)->access_stats().rows_inserted - before[name];
+      op_rows[name] = std::max(op_rows[name], n);
+    }
+  };
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    run_op([&] { return store->CopySubtree("Customer", src, store->root_id()); });
+    run_op([&] {
+      return store->DeleteWhere("Customer",
+                                "Name = 'Mary' AND id <> " + std::to_string(src));
+    });
+    for (const std::string& name : db->TableNames()) {
+      const rdb::Table* t = db->FindTable(name);
+      ASSERT_LE(t->capacity(), t->live_count() + op_rows[name])
+          << name << " after cycle " << cycle;
+    }
+  }
+  EXPECT_GT(db->stats().slots_reused, 0u);
+  EXPECT_TRUE(db->VerifyIntegrity().empty());
+}
+
+TEST(SlotReuseTest, AsrDeleteAndCopyKeepSlabsFlat) {
+  ExpectSlabsFlatUnderChurn(DeleteStrategy::kAsr, InsertStrategy::kAsr);
+}
+
+TEST(SlotReuseTest, TriggerDeleteAndTupleCopyKeepSlabsFlat) {
+  ExpectSlabsFlatUnderChurn(DeleteStrategy::kPerTupleTrigger,
+                            InsertStrategy::kTuple);
 }
 
 uint64_t AsrScans(RelationalStore* store) {

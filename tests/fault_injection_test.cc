@@ -56,7 +56,8 @@ rdb::DurabilityOptions FaultOptions(FaultVfs* fault) {
 }
 
 /// The fault-matrix workload: DDL, autocommit DML, a committed transaction,
-/// update/delete, a checkpoint, a rolled-back transaction, and a background
+/// update/delete, inserts into reused tombstoned slots (delete, commit,
+/// insert), a checkpoint, a rolled-back transaction, and a background
 /// checkpoint over a fresh tombstone — every WAL and snapshot code path a
 /// fig. 6/10 run exercises. "@checkpoint" marks a Database::Checkpoint()
 /// call; "@checkpoint_background" a CheckpointBackground() joined by
@@ -72,6 +73,10 @@ const std::vector<std::string>& WorkloadSteps() {
       "COMMIT",
       "UPDATE t SET name = 'z' WHERE id = 2",
       "DELETE FROM t WHERE id = 3",
+      "BEGIN",
+      "DELETE FROM t WHERE id = 5",
+      "COMMIT",
+      "INSERT INTO t VALUES (10, 'j')",  // reuses a published tombstone
       "@checkpoint",
       "INSERT INTO t VALUES (6, 'f')",
       "BEGIN",

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +26,9 @@ using engine::DeleteStrategy;
 using engine::InsertStrategy;
 using engine::RelationalStore;
 using xupd::testing::DumpDurableState;
+using xupd::testing::ReadFile;
 using xupd::testing::TempDir;
+using xupd::testing::WriteFile;
 
 void Must(rdb::Database* db, const std::string& sql) {
   Status s = db->Execute(sql);
@@ -423,6 +427,217 @@ TEST(MvccTest, BackgroundCheckpointSnapshotExcludesLaterCommits) {
 }
 
 // ---------------------------------------------------------------------------
+// slot reuse beside pinned readers and background checkpoints
+
+TEST(MvccTest, PinnedReaderKeepsItsSnapshotAcrossSlotReuse) {
+  rdb::Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
+  for (int i = 0; i < 100; ++i) {
+    Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) +
+                  ", 'payload held in a heap string')");
+  }
+  Must(&db, "DELETE FROM t WHERE id < 20");  // dead before the pin
+  auto rs = db.OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  (*rs)->PinSnapshot();
+  const int64_t sum = (20 + 99) * 80 / 2;  // ids 20..99
+  int64_t next = 100;
+  for (int round = 0; round < 6; ++round) {
+    Must(&db, "BEGIN");
+    Must(&db, "DELETE FROM t WHERE id < " + std::to_string(next - 70));
+    for (int k = 0; k < 10; ++k, ++next) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(next) + ", 'new')");
+    }
+    Must(&db, "COMMIT");
+    EXPECT_EQ(ReaderCount(rs->get(), "SELECT COUNT(*) FROM t"), 80);
+    EXPECT_EQ(ReaderCount(rs->get(), "SELECT SUM(id) FROM t"), sum);
+  }
+  // Only the 20 slots dead before the pin were taken; every later
+  // tombstone is still visible to the pin and stays put.
+  EXPECT_EQ(db.stats().slots_reused, 20u);
+  rdb::Table* t = db.FindTable("t");
+  EXPECT_EQ(t->capacity(), 140u);
+  (*rs)->Unpin();
+  // With the pin gone, the next boundary (any writer statement) frees all
+  // 60 later tombstones.
+  EXPECT_EQ(WriterCount(&db, "SELECT COUNT(*) FROM t"), 80);
+  Must(&db, "BEGIN");
+  Must(&db, "DELETE FROM t WHERE id < " + std::to_string(next - 70));
+  for (int k = 0; k < 10; ++k, ++next) {
+    Must(&db, "INSERT INTO t VALUES (" + std::to_string(next) + ", 'new')");
+  }
+  Must(&db, "COMMIT");
+  EXPECT_EQ(db.stats().slots_reused, 30u);
+  EXPECT_EQ(t->capacity(), 140u);
+  EXPECT_EQ(ReaderCount(rs->get(), "SELECT COUNT(*) FROM t"), 80);
+  EXPECT_TRUE(db.VerifyIntegrity().empty());
+}
+
+/// Holds a background checkpoint's capture open: opening the snapshot temp
+/// file blocks while the gate is shut. The serializer has read every slot
+/// by then, but the capture flag stays set, so reuse keeps parking.
+class GatedVfs : public rdb::Vfs {
+ public:
+  void Shut() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  std::unique_ptr<rdb::VfsFile> Open(const std::string& path, OpenMode mode,
+                                     int* err) override {
+    if (path.find("snapshot.tmp") != std::string::npos) {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return base_->Open(path, mode, err);
+  }
+  int Mkdir(const std::string& dir) override { return base_->Mkdir(dir); }
+  int Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  int Remove(const std::string& path) override { return base_->Remove(path); }
+  bool Exists(const std::string& path) override { return base_->Exists(path); }
+  int SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+
+ private:
+  rdb::Vfs* base_ = rdb::Vfs::Default();
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+};
+
+TEST(MvccTest, SlotReusedDuringACaptureParksItsDeadImage) {
+  TempDir dir;
+  GatedVfs vfs;
+  rdb::DurabilityOptions opts;
+  opts.vfs = &vfs;
+  std::string at_capture;
+  std::string at_end;
+  {
+    rdb::Database db;
+    // A failed assertion returns early: open the gate before ~Database
+    // joins the checkpoint thread.
+    struct OpenOnExit {
+      GatedVfs* vfs;
+      ~OpenOnExit() { vfs->Release(); }
+    } open_on_exit{&vfs};
+    ASSERT_TRUE(db.Open(dir.path(), opts).ok());
+    Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
+    Must(&db,
+         "INSERT INTO t VALUES (1, 'one'), (2, 'two, a dead heap string'), "
+         "(3, 'three, another dead heap string')");
+    Must(&db, "DELETE FROM t WHERE id > 1");
+    vfs.Shut();
+    ASSERT_TRUE(db.CheckpointBackground().ok());
+    const uint64_t pin = db.epochs().current();
+    at_capture = DumpDurableState(db);
+    rdb::Table* t = db.FindTable("t");
+    // The insert takes the oldest dead slot while the capture is open and
+    // parks its dead image...
+    Must(&db, "INSERT INTO t VALUES (4, 'four')");
+    ASSERT_TRUE(t->is_live(1));
+    EXPECT_EQ(t->row(1)[0].AsInt(), 4);
+    EXPECT_EQ(t->version_rows(), 1u);
+    // ...so the checkpointer still reads that image at its pin.
+    rdb::Row out;
+    bool live = true;
+    ASSERT_TRUE(t->SnapshotReadRow(1, pin, &out, &live));
+    EXPECT_FALSE(live);
+    EXPECT_EQ(out[0].AsInt(), 2);
+    EXPECT_EQ(out[1].AsString(), "two, a dead heap string");
+    // A rolled-back reuse leaves the parked image serving the pin.
+    Must(&db, "BEGIN");
+    Must(&db, "INSERT INTO t VALUES (5, 'five')");
+    EXPECT_TRUE(t->is_live(2));
+    Must(&db, "ROLLBACK");
+    ASSERT_TRUE(t->SnapshotReadRow(2, pin, &out, &live));
+    EXPECT_FALSE(live);
+    EXPECT_EQ(out[1].AsString(), "three, another dead heap string");
+    vfs.Release();
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    // The checkpoint unpinned: the next boundary frees the parked images.
+    Must(&db, "INSERT INTO t VALUES (6, 'six')");
+    EXPECT_EQ(t->version_rows(), 0u);
+    EXPECT_TRUE(db.VerifyIntegrity().empty());
+    at_end = DumpDurableState(db);
+  }
+  // The snapshot alone holds exactly the captured image: recover it with
+  // the WAL cut at the offset the snapshot recorded (bytes 28..35).
+  const std::string snapshot = ReadFile(dir.path() + "/snapshot.xupd");
+  ASSERT_GE(snapshot.size(), 36u);
+  uint64_t wal_offset = 0;
+  for (int i = 7; i >= 0; --i) {
+    wal_offset = wal_offset << 8 | static_cast<unsigned char>(snapshot[28 + i]);
+  }
+  TempDir cut;
+  WriteFile(cut.path() + "/snapshot.xupd", snapshot);
+  WriteFile(cut.path() + "/wal.xupd",
+            ReadFile(dir.path() + "/wal.xupd").substr(0, wal_offset));
+  {
+    rdb::Database db;
+    ASSERT_TRUE(db.Open(cut.path()).ok());
+    EXPECT_EQ(DumpDurableState(db), at_capture);
+  }
+  rdb::Database db;
+  ASSERT_TRUE(db.Open(dir.path()).ok());
+  EXPECT_EQ(DumpDurableState(db), at_end);
+}
+
+TEST(MvccTest, BackgroundCheckpointsBesideSlotReuseRecoverTheExactImage) {
+  TempDir dir;
+  std::string expected;
+  {
+    rdb::Database db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
+    Must(&db, "CREATE INDEX idx_t_id ON t (id)");
+    int64_t next = 0;
+    for (; next < 400; ++next) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(next) +
+                    ", 'original payload #" + std::to_string(next) + "')");
+    }
+    int64_t oldest = 0;
+    for (int round = 0; round < 60; ++round) {
+      if (round % 15 == 0) {
+        ASSERT_TRUE(db.CheckpointWait().ok());
+        ASSERT_TRUE(db.CheckpointBackground().ok());
+      }
+      // Every fifth round rolls back, undoing inserts into reused slots.
+      const bool keep = round % 5 != 4;
+      Must(&db, "BEGIN");
+      Must(&db, "DELETE FROM t WHERE id < " + std::to_string(oldest + 20));
+      for (int k = 0; k < 20; ++k) {
+        Must(&db, "INSERT INTO t VALUES (" + std::to_string(next + k) +
+                      ", 'churned payload #" + std::to_string(next + k) +
+                      "')");
+      }
+      Must(&db, keep ? "COMMIT" : "ROLLBACK");
+      if (keep) {
+        oldest += 20;
+        next += 20;
+      }
+    }
+    ASSERT_TRUE(db.CheckpointWait().ok());
+    EXPECT_GT(db.stats().slots_reused, 0u);
+    // No capacity bound here: a checkpoint's pin holds the horizon at its
+    // epoch until the thread finishes, so how many inserts append depends
+    // on the thread's timing (engine_test bounds it without checkpoints).
+    EXPECT_TRUE(db.VerifyIntegrity().empty());
+    expected = DumpDurableState(db);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
+  EXPECT_TRUE(db2.VerifyIntegrity().empty());
+}
+
+// ---------------------------------------------------------------------------
 // group commit: bounded loss under power loss
 
 TEST(MvccTest, BatchedSyncLosesAtMostTheUnsyncedWindow) {
@@ -580,6 +795,58 @@ TEST(MvccStressTest, ConcurrentReadersSeeOnlyCommitBoundaries) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(WriterCount(&db, "SELECT SUM(v) FROM t"), 0);
+}
+
+TEST(MvccStressTest, ConcurrentReadersBesideSlotReuseChurn) {
+  // Each writer transaction deletes the 10 oldest rows and inserts 10 new
+  // ones into reused slots, overwriting dead heap-string cells, while
+  // readers scan those cells: every snapshot holds exactly 80 rows, all
+  // carrying the one payload.
+  rdb::Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
+  const std::string payload = "'a payload long enough for a heap string'";
+  for (int i = 0; i < 80; ++i) {
+    Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", " + payload +
+                  ")");
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      auto rs = db.OpenReaderSession();
+      if (!rs.ok()) {
+        ++failures;
+        return;
+      }
+      while (!done.load(std::memory_order_acquire)) {
+        (*rs)->PinSnapshot();
+        auto all = (*rs)->ExecuteQuery("SELECT COUNT(*) FROM t");
+        auto same = (*rs)->ExecuteQuery("SELECT COUNT(*) FROM t WHERE v = " +
+                                        payload);
+        (*rs)->Unpin();
+        if (!all.ok() || !same.ok() || all->rows[0][0].AsInt() != 80 ||
+            same->rows[0][0].AsInt() != 80) {
+          ++failures;
+          break;
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 300; ++i) {
+    Must(&db, "BEGIN");
+    Must(&db, "DELETE FROM t WHERE id < " + std::to_string(10 * i + 10));
+    for (int k = 0; k < 10; ++k) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(80 + 10 * i + k) +
+                    ", " + payload + ")");
+    }
+    Must(&db, "COMMIT");
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(db.stats().slots_reused, 0u);
+  EXPECT_TRUE(db.VerifyIntegrity().empty());
 }
 
 TEST(MvccStressTest, ConcurrentReadersWithBackgroundCheckpoint) {

@@ -248,6 +248,28 @@ TEST(ShowTest, TableStatsCountAccessesPerTableAndIndex) {
   // Version-buffer columns exist even when nothing is parked right now.
   EXPECT_GE(MetricValue(*stats, "table.parent.version_rows"), 0);
   EXPECT_GE(MetricValue(*stats, "table.parent.version_bytes"), 0);
+  // Slot columns: the 3 deleted child rows are tombstones in 30 slots.
+  EXPECT_EQ(MetricValue(*stats, "table.child.slots"), 30);
+  EXPECT_EQ(MetricValue(*stats, "table.child.dead_slots"), 3);
+  EXPECT_EQ(MetricValue(*stats, "table.parent.dead_slots"), 0);
+}
+
+TEST(ShowTest, SlotReuseShowsInTableStatsAndMetrics) {
+  Database db;
+  Populate(&db);
+  ASSERT_TRUE(db.Execute("DELETE FROM child WHERE parentId = 9").ok());
+  // The delete's boundary published the 3 tombstones; two inserts take two
+  // of them instead of growing the slab.
+  ASSERT_TRUE(db.Execute("INSERT INTO child VALUES (100, 1), (101, 2)").ok());
+  auto stats = db.ExecuteQuery("SHOW TABLE STATS");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(MetricValue(*stats, "table.child.slots"), 30);
+  EXPECT_EQ(MetricValue(*stats, "table.child.dead_slots"), 1);
+  EXPECT_EQ(MetricValue(*stats, "table.child.live_rows"), 29);
+  auto metrics = db.ExecuteQuery("SHOW METRICS");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(MetricValue(*metrics, "stats.slots_reused"), 2);
+  EXPECT_NE(db.stats().ToString().find("reused=2"), std::string::npos);
 }
 
 TEST(ShowTest, TraceReturnsChromeTraceJson) {

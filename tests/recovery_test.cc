@@ -39,6 +39,37 @@ using xupd::testing::TempDir;
 using xupd::testing::WriteFile;
 
 // ---------------------------------------------------------------------------
+// binio::Crc32: the checksum of every WAL frame and snapshot file
+
+uint32_t BytewiseCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesTheCheckValue) {
+  EXPECT_EQ(rdb::binio::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(rdb::binio::Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, AgreesWithABytewiseReferenceAtUnalignedOffsets) {
+  unsigned char buf[64 + 8];
+  for (size_t i = 0; i < sizeof(buf); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(rdb::binio::Crc32(buf + offset, len),
+                BytewiseCrc32(buf + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // rdb layer: WAL unit semantics
 
 class RdbRecoveryTest : public ::testing::Test {
@@ -170,12 +201,15 @@ TEST_F(RdbRecoveryTest, TombstonesAndNextIdReplayExactly) {
   ASSERT_TRUE(db2.Open(dir_.path()).ok());
   EXPECT_EQ(db2.next_id(), 777);
   EXPECT_EQ(DumpDurableState(db2), expected);
-  // The tombstoned slot must hold its position: a post-recovery insert gets
-  // the next fresh rowid, exactly as it would have pre-crash.
+  // The insert after the published delete reused its slot, and replay put
+  // the row back at the recorded row id: 3 slots, slot 1 holds (4, 'd').
   rdb::Table* t = db2.FindTable("t");
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->capacity(), 4u);
+  EXPECT_EQ(t->capacity(), 3u);
   EXPECT_EQ(t->live_count(), 3u);
+  ASSERT_TRUE(t->is_live(1));
+  EXPECT_EQ(t->row(1)[0].AsInt(), 4);
+  EXPECT_EQ(t->row(1)[1].AsString(), "d");
 }
 
 TEST_F(RdbRecoveryTest, DdlAndTriggersReplay) {

@@ -81,6 +81,40 @@ TEST_F(RdbTxnTest, RollbackUndoesInsertDeleteUpdate) {
   EXPECT_EQ(t->FindIndexOnColumn(0)->size(), index_before);
 }
 
+TEST_F(RdbTxnTest, RollingBackAReusedSlotInsertRestoresTheDeadImage) {
+  rdb::Table* t = db_.FindTable("t");
+  // A delete inside the transaction is not published, so its slot is not
+  // reused: the insert appends, and undo finds the tombstone in place.
+  const std::string initial = xupd::testing::DumpDurableState(db_);
+  Must("BEGIN");
+  Must("DELETE FROM t WHERE id = 1");
+  Must("INSERT INTO t VALUES (9, 'appended')");
+  EXPECT_EQ(t->capacity(), 3u);
+  Must("ROLLBACK");
+  EXPECT_EQ(xupd::testing::DumpDurableState(db_), initial);
+
+  // A committed delete's slot is reused by the next insert, and rolling
+  // that insert back restores the dead slot byte for byte.
+  Must("DELETE FROM t WHERE id = 1");
+  const std::string before = xupd::testing::DumpDurableState(db_);
+  const size_t capacity = t->capacity();
+  const uint64_t reused = db_.stats().slots_reused;
+  Must("BEGIN");
+  Must("INSERT INTO t VALUES (7, 'reused')");
+  EXPECT_EQ(db_.stats().slots_reused, reused + 1);
+  EXPECT_EQ(t->capacity(), capacity);
+  EXPECT_EQ(CountById(7), 1);
+  Must("ROLLBACK");
+  EXPECT_EQ(xupd::testing::DumpDurableState(db_), before);
+  EXPECT_EQ(CountById(7), 0);  // its index entry is gone too
+  EXPECT_TRUE(db_.VerifyIntegrity().empty());
+  // The restored slot went back to the head of the queue.
+  Must("INSERT INTO t VALUES (8, 'again')");
+  EXPECT_EQ(t->capacity(), capacity);
+  EXPECT_EQ(CountById(8), 1);
+  EXPECT_TRUE(db_.VerifyIntegrity().empty());
+}
+
 TEST_F(RdbTxnTest, CommitMakesChangesDurable) {
   Must("BEGIN TRANSACTION");
   Must("INSERT INTO t VALUES (3, 'c')");
