@@ -312,7 +312,8 @@ Result<ResultSet> Executor::RunShow(const sql::Statement& stmt) {
         add("table." + name + ".rows_updated", s.rows_updated);
         add("table." + name + ".live_rows", table->live_count());
         add("table." + name + ".slots", table->capacity());
-        add("table." + name + ".dead_slots", table->dead_count());
+        add("table." + name + ".dead_slots",
+            table->capacity() - table->live_count());
         add("table." + name + ".version_rows", table->version_rows());
         add("table." + name + ".version_bytes", table->version_bytes());
         for (const auto& index : table->indexes()) {

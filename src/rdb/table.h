@@ -288,8 +288,6 @@ class Table {
   /// Writer-thread view; readers use SnapshotRowCount().
   size_t capacity() const { return live_.size(); }
   size_t live_count() const { return live_count_; }
-  /// Tombstoned slots (capacity() - live_count()).
-  size_t dead_count() const { return live_.size() - live_count_; }
 
   /// The reuse queue: tombstoned row ids, oldest death first. Entries go
   /// stale when their slot is revived or refilled by InsertAt; Insert skips
