@@ -79,7 +79,11 @@ class ReaderSession;
 //    reused before its boundary publishes it, so undo finds its cells in
 //    place. The background checkpointer is the one reader of dead slots:
 //    while its capture is open, a reused durable slot parks its dead image
-//    in the version buffer, where SnapshotReadRow finds it.
+//    in the version buffer, where SnapshotReadRow finds it. Its pin also
+//    holds the horizon at the capture epoch until the serializer has read
+//    the slots, so which row ids the inserts of that stretch take depends
+//    on the checkpoint thread's timing; WAL replay still lands every row at
+//    the id the writer gave it.
 //
 //  * DDL is NOT snapshot-isolated, and it never waits for readers. The
 //    writer publishes the table catalog through one atomic pointer: CREATE

@@ -294,8 +294,8 @@ Status Durability::CheckpointBackground() {
         "sessions in use)");
   }
   epochs.Pin(slot);
-  // Until the serializer returns, a durable slot the writer reuses parks
-  // its dead image for it.
+  // Until the serializer has read the slots, a durable slot the writer
+  // reuses parks its dead image for it.
   epochs.capture_open.store(true, std::memory_order_relaxed);
   checkpoint_slot_ = slot;
   checkpoint_running_ = true;
@@ -320,12 +320,18 @@ Status Durability::CheckpointBackground() {
     trace::SpanScope snapshot_span{bg_handoff};
     const uint64_t t0 = MonotonicNanos();
     checkpoint_watchdog_.Beat();
+    // Once the slots are read — before the file write and its fsyncs —
+    // close the capture and drop the pin rather than wait for the join,
+    // so slot reuse and reclamation resume. Idempotent: it runs again
+    // after a serializer that failed before reading every slot.
+    auto close_capture = [this, slot] {
+      db_->epochs_.capture_open.store(false, std::memory_order_release);
+      db_->epochs_.Unpin(slot);
+    };
     Status s = WriteSnapshot(*db_, vfs_, SnapshotPath(dir_),
-                             SnapshotTmpPath(dir_), capture);
-    // The tables are read: drop the pin now rather than at CheckpointWait,
-    // so reclamation and slot reuse do not wait for the join.
-    db_->epochs_.capture_open.store(false, std::memory_order_release);
-    db_->epochs_.Unpin(slot);
+                             SnapshotTmpPath(dir_), capture, nullptr,
+                             close_capture);
+    close_capture();
     checkpoint_status_ = s;
     if (s.ok()) {
       const uint64_t dur = MonotonicNanos() - t0;
@@ -384,10 +390,11 @@ Status Durability::Reopen() {
   // Publishing an empty catalog retires the old tables (statements pinned
   // before it finish on them) and the version bump invalidates every
   // cached plan. Recovery then publishes the tables one by one: reader
-  // statements racing the rebuild may see a partial catalog — a documented
-  // heal-window anomaly. The reset clears the fail-stop state BEFORE
-  // replaying: snapshot load re-executes CREATE TRIGGER text through the
-  // Executor, which checks CheckWritable.
+  // statements racing the rebuild may see a partial catalog, or miss a row
+  // whose tombstoned slot the replay refills — a documented heal-window
+  // anomaly. The reset clears the fail-stop state BEFORE replaying:
+  // snapshot load re-executes CREATE TRIGGER text through the Executor,
+  // which checks CheckWritable.
   Reset();
   Status s = RecoverFromDir();
   // A fault that persists fails the writer's reopen: stay read-only with

@@ -179,8 +179,9 @@ class EpochManager {
   /// True while a background checkpoint copies durable tables' slots —
   /// dead ones included — through Table::SnapshotReadRow. The writer sets
   /// it before the checkpoint thread starts; the thread clears it (release)
-  /// when its serializer returns. A durable slot reused while it is set
-  /// parks its dead image for the checkpointer (see Table::Insert).
+  /// once its serializer has read the slots, before the file write. A
+  /// durable slot reused while it is set parks its dead image for the
+  /// checkpointer (see Table::Place).
   std::atomic<bool> capture_open{false};
 
   /// Count of pre-update row images parked in table version buffers

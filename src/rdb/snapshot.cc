@@ -41,7 +41,8 @@ Status WriteFileDurably(Vfs* vfs, const std::string& path,
 
 Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
                      const std::string& tmp_path,
-                     const CheckpointCapture& capture, bool* renamed) {
+                     const CheckpointCapture& capture, bool* renamed,
+                     const std::function<void()>& slots_read) {
   const uint64_t t0 = MonotonicNanos();
   if (renamed != nullptr) *renamed = false;
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
@@ -94,6 +95,7 @@ Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
     }
     binio::PutString(&out, sql);
   }
+  if (slots_read) slots_read();
 
   binio::PutU32(&out, binio::Crc32(out.data(), out.size()));
   XUPD_RETURN_IF_ERROR(WriteFileDurably(vfs, tmp_path, out));

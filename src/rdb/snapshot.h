@@ -33,6 +33,7 @@
 #define XUPD_RDB_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -93,16 +94,19 @@ struct CheckpointCapture {
 /// read through Table::SnapshotReadRow at capture.pin_epoch — live and dead
 /// alike, so a recovered table has the exact slot image that was
 /// checkpointed, tombstone cells included. Off the writer thread the caller
-/// must keep capture.pin_epoch pinned until this returns: the pin keeps
-/// every captured table alive even if DDL drops it meanwhile. `*renamed`
-/// (optional) reports whether the rename went through — on failure it
-/// tells the caller whether the new snapshot is already visible (a
-/// blocking checkpoint must then fail-stop its old-epoch WAL) or the old
-/// state is still fully intact (safe to retry later).
+/// must keep capture.pin_epoch pinned until the slots are read: the pin
+/// keeps every captured table alive even if DDL drops it meanwhile.
+/// `slots_read` (optional) runs once every captured slot is read, before
+/// the file is written: the pin and the capture need not outlast it.
+/// `*renamed` (optional) reports whether the rename went through — on
+/// failure it tells the caller whether the new snapshot is already visible
+/// (a blocking checkpoint must then fail-stop its old-epoch WAL) or the
+/// old state is still fully intact (safe to retry later).
 Status WriteSnapshot(const Database& db, Vfs* vfs, const std::string& path,
                      const std::string& tmp_path,
                      const CheckpointCapture& capture,
-                     bool* renamed = nullptr);
+                     bool* renamed = nullptr,
+                     const std::function<void()>& slots_read = {});
 
 /// What LoadSnapshot recovered from the snapshot header.
 struct SnapshotLoadInfo {

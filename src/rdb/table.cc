@@ -347,23 +347,28 @@ void Table::Place(size_t rowid, Row&& row) {
   }
   // Reuse. A reader session never reads the cells of a slot it cannot
   // see, and the new row is born at w, invisible to every pin. A slot
-  // Insert takes is dead at or below the horizon, so no pin sees it either.
-  // Two readers remain: a pin may still see a tombstone no boundary has
-  // published (InsertAt: WAL replay, which TryHeal runs beside reader
-  // statements), and a background checkpoint copies dead slots. For them,
-  // park the old image and open the row's seqlock window first, exactly
-  // like an in-place update.
+  // Insert takes is dead at or below the horizon, so no session sees it.
+  // The one reader of dead cells is a background checkpoint: while its
+  // capture is open, park the dead image for it, as an in-place update
+  // parks a pre-image (SnapshotReadRow serves it). Pausing reuse instead
+  // would stop it for good once checkpoints run back to back. InsertAt
+  // (WAL replay) never runs beside a capture, but TryHeal runs it beside
+  // reader statements, and it may overwrite a tombstone a pin still sees:
+  // the stamps go first and the row's seqlock window opens before any
+  // cell store, so such a reader's copy fails instead of tearing, and its
+  // retry finds the row unborn and skips it — part of the heal-window
+  // anomaly Durability::Reopen documents.
   RowMetaRef m = meta(rowid);
   const uint64_t old_begin_end = m.begin_end();
-  if (em_ != nullptr &&
-      (RowMetaRef::End(old_begin_end) > em_->reuse_horizon ||
-       (durable_ && em_->capture_open.load(std::memory_order_acquire)))) {
+  if (durable_ && em_ != nullptr &&
+      em_->capture_open.load(std::memory_order_acquire)) {
     PrepareRowUpdate(rowid);
   }
-  m.StoreMod(w);
   m.StoreBeginEnd(RowEpochClamp(w), kRowEpochInf);
-  // Word-atomic stores (the checkpointer's seqlock copy may race them);
-  // `row` keeps the dead occupant's cells for the undo log.
+  m.StoreMod(w);
+  std::atomic_thread_fence(std::memory_order_release);
+  // Word-atomic stores (a reader's seqlock copy may race them); `row`
+  // keeps the dead occupant's cells for the undo log.
   Value* cells = mutable_row(rowid);
   for (size_t c = 0; c < arity_; ++c) {
     row[c] = std::move(row[c]).RacyPublishTo(cells + c);
@@ -556,12 +561,13 @@ bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
     // every transient value of `begin` is 0 (meta mid-construction) or
     // exceeds any pinned epoch, so an unborn row is rejected without ever
     // touching its cells. A row born and ended at or before the pin is dead
-    // for good at that pin, so a caller asking for dead slots copies it
-    // through the same seqlock path — and once an insert has reused the
-    // slot (begin > pin), from the dead image the reuse parked. Acquire on
-    // the buffer pointer: a grow publishes the memcpy'd rows via the
-    // release store of `cells_`, and this load may observe a buffer newer
-    // than the one `filled_`'s acquire synchronized with.
+    // at that pin, and a caller asking for dead slots (the checkpointer)
+    // copies it through the same seqlock path — or, once an insert has
+    // reused the slot (begin > pin), from the dead image that reuse parked
+    // while the capture was open. Acquire on the buffer pointer: a grow
+    // publishes the memcpy'd rows via the release store of `cells_`, and
+    // this load may observe a buffer newer than the one `filled_`'s
+    // acquire synchronized with.
     const Value* cells = cells_.load(std::memory_order_acquire);
     const Value* slot = cells + rowid * stride_;
     RowMetaRef m(slot + arity_);
@@ -612,8 +618,9 @@ bool Table::SnapshotReadRow(size_t rowid, uint64_t pin, Row* out,
         return true;
       }
     }
-    // No entry can only mean the writer is between stamping `mod` (or,
-    // for a reused slot, `begin`) and parking the pre-image becoming
+    // No entry can only mean the writer is between stamping `mod` and
+    // parking the pre-image becoming observable, or, in a slot WAL replay
+    // refills, between the new `mod` and the new `begin` becoming
     // observable — retry resolves it. The attempt bound is sheer paranoia
     // (treat the row as dead rather than spin forever on a logic bug).
     if (attempt > 1000) return false;

@@ -13,7 +13,10 @@
 //    manager's reuse horizon) and appends only when there is none, so
 //    under delete/insert churn the slab stays near the live row count. Row
 //    ids are still physical addresses — the WAL's insert records carry
-//    them, and replay places each row at its recorded id (InsertAt).
+//    them, and replay places each row at its recorded id (InsertAt). A
+//    durable slot reused while a background checkpoint's capture is open
+//    parks its dead image in the version buffer: the checkpointer copies
+//    dead slots' cells too.
 //
 //  * HashIndex is a flat open-addressing table whose entries hold
 //    (hash, value, rowid) inline — no per-key map node, no per-entry set
@@ -371,9 +374,10 @@ class Table {
   Status Delete(size_t rowid);
 
   /// Truncates the table: every row slot (live and tombstoned), the reuse
-  /// queue and all index entries are discarded, resetting capacity() to 0. NOT transactional —
-  /// no undo is logged and any undo records already held for this table
-  /// become no-ops (their rowids fall out of range). For scratch tables.
+  /// queue and all index entries are discarded, resetting capacity() to 0.
+  /// NOT transactional — no undo is logged and any undo records already
+  /// held for this table become no-ops (their rowids fall out of range).
+  /// For scratch tables.
   void Clear();
 
   /// Sets one column; index entries are maintained.

@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,9 +24,7 @@ using engine::DeleteStrategy;
 using engine::InsertStrategy;
 using engine::RelationalStore;
 using xupd::testing::DumpDurableState;
-using xupd::testing::ReadFile;
 using xupd::testing::TempDir;
-using xupd::testing::WriteFile;
 
 void Must(rdb::Database* db, const std::string& sql) {
   Status s = db->Execute(sql);
@@ -473,120 +469,89 @@ TEST(MvccTest, PinnedReaderKeepsItsSnapshotAcrossSlotReuse) {
   EXPECT_TRUE(db.VerifyIntegrity().empty());
 }
 
-/// Holds a background checkpoint's capture open: opening the snapshot temp
-/// file blocks while the gate is shut. The serializer has read every slot
-/// by then, but the capture flag stays set, so reuse keeps parking.
-class GatedVfs : public rdb::Vfs {
- public:
-  void Shut() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = false;
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  std::unique_ptr<rdb::VfsFile> Open(const std::string& path, OpenMode mode,
-                                     int* err) override {
-    if (path.find("snapshot.tmp") != std::string::npos) {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return open_; });
-    }
-    return base_->Open(path, mode, err);
-  }
-  int Mkdir(const std::string& dir) override { return base_->Mkdir(dir); }
-  int Rename(const std::string& from, const std::string& to) override {
-    return base_->Rename(from, to);
-  }
-  int Remove(const std::string& path) override { return base_->Remove(path); }
-  bool Exists(const std::string& path) override { return base_->Exists(path); }
-  int SyncDir(const std::string& path) override {
-    return base_->SyncDir(path);
-  }
-
- private:
-  rdb::Vfs* base_ = rdb::Vfs::Default();
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = true;
-};
-
 TEST(MvccTest, SlotReusedDuringACaptureParksItsDeadImage) {
-  TempDir dir;
-  GatedVfs vfs;
-  rdb::DurabilityOptions opts;
-  opts.vfs = &vfs;
-  std::string at_capture;
-  std::string at_end;
-  {
-    rdb::Database db;
-    // A failed assertion returns early: open the gate before ~Database
-    // joins the checkpoint thread.
-    struct OpenOnExit {
-      GatedVfs* vfs;
-      ~OpenOnExit() { vfs->Release(); }
-    } open_on_exit{&vfs};
-    ASSERT_TRUE(db.Open(dir.path(), opts).ok());
-    Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
-    Must(&db,
-         "INSERT INTO t VALUES (1, 'one'), (2, 'two, a dead heap string'), "
-         "(3, 'three, another dead heap string')");
-    Must(&db, "DELETE FROM t WHERE id > 1");
-    vfs.Shut();
-    ASSERT_TRUE(db.CheckpointBackground().ok());
-    const uint64_t pin = db.epochs().current();
-    at_capture = DumpDurableState(db);
-    rdb::Table* t = db.FindTable("t");
-    // The insert takes the oldest dead slot while the capture is open and
-    // parks its dead image...
-    Must(&db, "INSERT INTO t VALUES (4, 'four')");
-    ASSERT_TRUE(t->is_live(1));
-    EXPECT_EQ(t->row(1)[0].AsInt(), 4);
-    EXPECT_EQ(t->version_rows(), 1u);
-    // ...so the checkpointer still reads that image at its pin.
-    rdb::Row out;
-    bool live = true;
-    ASSERT_TRUE(t->SnapshotReadRow(1, pin, &out, &live));
-    EXPECT_FALSE(live);
-    EXPECT_EQ(out[0].AsInt(), 2);
-    EXPECT_EQ(out[1].AsString(), "two, a dead heap string");
-    // A rolled-back reuse leaves the parked image serving the pin.
-    Must(&db, "BEGIN");
-    Must(&db, "INSERT INTO t VALUES (5, 'five')");
-    EXPECT_TRUE(t->is_live(2));
-    Must(&db, "ROLLBACK");
-    ASSERT_TRUE(t->SnapshotReadRow(2, pin, &out, &live));
-    EXPECT_FALSE(live);
-    EXPECT_EQ(out[1].AsString(), "three, another dead heap string");
-    vfs.Release();
-    ASSERT_TRUE(db.CheckpointWait().ok());
-    // The checkpoint unpinned: the next boundary frees the parked images.
-    Must(&db, "INSERT INTO t VALUES (6, 'six')");
-    EXPECT_EQ(t->version_rows(), 0u);
-    EXPECT_TRUE(db.VerifyIntegrity().empty());
-    at_end = DumpDurableState(db);
-  }
-  // The snapshot alone holds exactly the captured image: recover it with
-  // the WAL cut at the offset the snapshot recorded (bytes 28..35).
-  const std::string snapshot = ReadFile(dir.path() + "/snapshot.xupd");
-  ASSERT_GE(snapshot.size(), 36u);
-  uint64_t wal_offset = 0;
-  for (int i = 7; i >= 0; --i) {
-    wal_offset = wal_offset << 8 | static_cast<unsigned char>(snapshot[28 + i]);
-  }
-  TempDir cut;
-  WriteFile(cut.path() + "/snapshot.xupd", snapshot);
-  WriteFile(cut.path() + "/wal.xupd",
-            ReadFile(dir.path() + "/wal.xupd").substr(0, wal_offset));
-  {
-    rdb::Database db;
-    ASSERT_TRUE(db.Open(cut.path()).ok());
-    EXPECT_EQ(DumpDurableState(db), at_capture);
-  }
   rdb::Database db;
-  ASSERT_TRUE(db.Open(dir.path()).ok());
-  EXPECT_EQ(DumpDurableState(db), at_end);
+  Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
+  Must(&db,
+       "INSERT INTO t VALUES (1, 'one'), (2, 'two, a dead heap string'), "
+       "(3, 'three, another dead heap string')");
+  Must(&db, "DELETE FROM t WHERE id > 1");
+  rdb::Table* t = db.FindTable("t");
+  // What a background checkpoint does at its boundary: pin the epoch and
+  // open the capture (Durability::CheckpointBackground).
+  auto rs = db.OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  (*rs)->PinSnapshot();
+  const uint64_t pin = db.epochs().current();
+  db.epochs().capture_open.store(true);
+  // The insert still takes the oldest tombstone and parks its dead image...
+  Must(&db, "INSERT INTO t VALUES (4, 'four')");
+  EXPECT_EQ(t->capacity(), 3u);
+  ASSERT_TRUE(t->is_live(1));
+  EXPECT_EQ(t->row(1)[0].AsInt(), 4);
+  EXPECT_EQ(t->version_rows(), 1u);
+  // ...so the checkpointer still reads that image at its pin.
+  rdb::Row out;
+  bool live = true;
+  ASSERT_TRUE(t->SnapshotReadRow(1, pin, &out, &live));
+  EXPECT_FALSE(live);
+  EXPECT_EQ(out[0].AsInt(), 2);
+  EXPECT_EQ(out[1].AsString(), "two, a dead heap string");
+  // A rolled-back reuse leaves the parked image serving the pin.
+  Must(&db, "BEGIN");
+  Must(&db, "INSERT INTO t VALUES (5, 'five')");
+  EXPECT_TRUE(t->is_live(2));
+  Must(&db, "ROLLBACK");
+  ASSERT_TRUE(t->SnapshotReadRow(2, pin, &out, &live));
+  EXPECT_FALSE(live);
+  EXPECT_EQ(out[1].AsString(), "three, another dead heap string");
+  // A session at the same pin sees none of the new rows.
+  EXPECT_EQ(ReaderCount(rs->get(), "SELECT COUNT(*) FROM t"), 1);
+  // The slots are read: the capture closes and the pin goes, so the next
+  // boundary frees the parked images.
+  db.epochs().capture_open.store(false);
+  (*rs)->Unpin();
+  Must(&db, "INSERT INTO t VALUES (6, 'six')");
+  EXPECT_EQ(t->version_rows(), 0u);
+  EXPECT_EQ(t->capacity(), 3u);
+  EXPECT_TRUE(db.VerifyIntegrity().empty());
+}
+
+TEST(MvccTest, BackToBackCapturesKeepReusingSlots) {
+  // Background checkpoints run back to back when each one's serializer
+  // outlasts the interval: CheckpointWait joins it and the next capture
+  // opens at once, so a capture is nearly always open. Simulated here: the
+  // capture stays open and each round re-pins at the current epoch, as
+  // the next checkpoint would. Reuse must go on (parking dead images) for
+  // the slab to stay near the live row count.
+  rdb::Database db;
+  Must(&db, "CREATE TABLE t (id INTEGER, v VARCHAR)");
+  for (int i = 0; i < 100; ++i) {
+    Must(&db, "INSERT INTO t VALUES (" + std::to_string(i) + ", 'row')");
+  }
+  rdb::Table* t = db.FindTable("t");
+  auto rs = db.OpenReaderSession();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  db.epochs().capture_open.store(true);
+  int64_t next = 100;
+  for (int round = 0; round < 100; ++round) {
+    (*rs)->Unpin();
+    (*rs)->PinSnapshot();
+    Must(&db, "BEGIN");
+    Must(&db, "DELETE FROM t WHERE id < " + std::to_string(next - 90));
+    for (int k = 0; k < 10; ++k, ++next) {
+      Must(&db, "INSERT INTO t VALUES (" + std::to_string(next) + ", 'row')");
+    }
+    Must(&db, "COMMIT");
+  }
+  db.epochs().capture_open.store(false);
+  (*rs)->Unpin();
+  EXPECT_EQ(t->live_count(), 100u);
+  // A tombstone is reused two rounds after its delete: the pin holds the
+  // horizon one round back. Two rounds of inserts, plus one of slack.
+  EXPECT_LE(t->capacity(), 130u);
+  EXPECT_GT(db.stats().slots_reused, 900u);
+  EXPECT_TRUE(db.VerifyIntegrity().empty());
 }
 
 TEST(MvccTest, BackgroundCheckpointsBesideSlotReuseRecoverTheExactImage) {
@@ -625,9 +590,10 @@ TEST(MvccTest, BackgroundCheckpointsBesideSlotReuseRecoverTheExactImage) {
     }
     ASSERT_TRUE(db.CheckpointWait().ok());
     EXPECT_GT(db.stats().slots_reused, 0u);
-    // No capacity bound here: a checkpoint's pin holds the horizon at its
-    // epoch until the thread finishes, so how many inserts append depends
-    // on the thread's timing (engine_test bounds it without checkpoints).
+    // No capacity bound here: until its serializer has read the slots, a
+    // checkpoint pauses durable reuse and its pin holds the horizon, so
+    // how many inserts append depends on the thread's timing (engine_test
+    // bounds it without checkpoints).
     EXPECT_TRUE(db.VerifyIntegrity().empty());
     expected = DumpDurableState(db);
   }

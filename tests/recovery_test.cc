@@ -212,6 +212,31 @@ TEST_F(RdbRecoveryTest, TombstonesAndNextIdReplayExactly) {
   EXPECT_EQ(t->row(1)[1].AsString(), "d");
 }
 
+TEST_F(RdbRecoveryTest, ReplayIntoASnapshotTombstoneKeepsNoCopy) {
+  std::string expected;
+  {
+    rdb::Database db;
+    Setup(&db);
+    Must(&db, "INSERT INTO t VALUES (1, 'a'), (2, 'b')");
+    Must(&db, "DELETE FROM t WHERE id = 2");
+    ASSERT_TRUE(db.Checkpoint().ok());
+    Must(&db, "INSERT INTO t VALUES (3, 'c')");  // reuses slot 1
+    expected = DumpDurableState(db);
+  }
+  rdb::Database db2;
+  ASSERT_TRUE(db2.Open(dir_.path()).ok());
+  EXPECT_EQ(DumpDurableState(db2), expected);
+  rdb::Table* t = db2.FindTable("t");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->capacity(), 2u);
+  ASSERT_TRUE(t->is_live(1));
+  EXPECT_EQ(t->row(1)[0].AsInt(), 3);
+  EXPECT_EQ(db2.stats().slots_reused, 1u);
+  // Replay overwrote the snapshot's tombstone in place: no copy of the dead
+  // row waits in the version buffer for a boundary to free it.
+  EXPECT_EQ(t->version_rows(), 0u);
+}
+
 TEST_F(RdbRecoveryTest, DdlAndTriggersReplay) {
   std::string expected;
   {
